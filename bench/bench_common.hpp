@@ -14,12 +14,8 @@
 //                                    and full are uncapped)
 //   --cache-dir=D / POPRANK_CACHE_DIR   chunk-result cache root: points are
 //                                    split into chunks, cached on disk and
-//                                    resumed across invocations
-//                                    (src/service/)
-//   --service-workers=K / POPRANK_SERVICE_WORKERS   fan chunk computation
-//                                    out to K re-exec'd worker processes
-//                                    (requires --cache-dir; results stay
-//                                    bit-identical to K=0)
+//                                    resumed across invocations; misses
+//                                    run on --threads (src/service/)
 //
 // Measurement points fan their trials out over the parallel runner
 // (src/runner/), whose per-trial seed streams make the numbers identical
@@ -54,12 +50,10 @@ struct Context {
   u64 threads = 0;  ///< runner pool size; 0 = hardware concurrency
   u64 max_n = 0;   ///< population cap; 0 = per-size default (see header)
   std::string csv_dir;
-  /// Sharded experiment service knobs (src/service/): a non-empty
-  /// cache_dir routes replayable measurement points through the chunk
-  /// cache, and service_workers > 0 additionally fans chunk computation
-  /// out to that many worker processes.  Both default off.
+  /// Sharded experiment service (src/service/): a non-empty cache_dir
+  /// routes replayable measurement points through the chunk cache, whose
+  /// misses run on `threads` threads.  Default off.
   std::string cache_dir;
-  u64 service_workers = 0;
   BenchLog bench_log;  ///< machine-readable per-point records (one run/file)
   enum class Size { kQuick, kStandard, kFull } size = Size::kStandard;
 
@@ -135,10 +129,10 @@ RunnerOptions runner_options(const Context& ctx, u64 trials);
 
 /// The context-aware trial dispatcher every bench measurement point goes
 /// through: plain run_trials() on the context pool normally, the sharded
-/// service (run_trials_sharded: chunk cache + optional worker processes)
-/// when --cache-dir is set and the spec is replayable.  Non-replayable
-/// specs under an active cache fall back in-process with a stderr note —
-/// never silently.  Results are bit-identical either way.
+/// service (run_trials_sharded: chunk cache in front of a thread pool)
+/// when --cache-dir is set.  Non-replayable specs under an active cache
+/// fall back to run_trials() with a stderr note — never silently.
+/// Results are bit-identical either way.
 TrialSet run_trials_ctx(const Context& ctx, const TrialSpec& spec,
                         const RunnerOptions& opt);
 

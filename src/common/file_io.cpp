@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
@@ -43,8 +44,12 @@ bool append_line(const std::string& path, std::string_view line) {
 }
 
 bool write_file_atomic(const std::string& path, std::string_view content) {
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  // pid + per-process sequence: concurrent writers — threads of one
+  // process included — never share a temp file.
+  static std::atomic<unsigned long> seq{0};
+  const std::string tmp = path + ".tmp." +
+                          std::to_string(static_cast<long>(::getpid())) +
+                          "." + std::to_string(seq.fetch_add(1));
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
   const bool ok = write_all(fd, content);
@@ -79,23 +84,6 @@ bool make_dirs(const std::string& path) {
   }
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
-}
-
-bool create_exclusive(const std::string& path, std::string_view content) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-  if (fd < 0) return false;
-  const bool ok = write_all(fd, content);
-  ::close(fd);
-  return ok;
-}
-
-bool path_exists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-bool remove_file(const std::string& path) {
-  return ::unlink(path.c_str()) == 0;
 }
 
 }  // namespace pp

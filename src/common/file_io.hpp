@@ -1,9 +1,9 @@
 // Small POSIX file primitives shared by the artifact writers and the
 // sharded experiment service (src/service/).
 //
-// Two disciplines matter once several *processes* touch the same
-// directory (the service's worker shards, or two bench invocations
-// pointed at one CSV dir):
+// Two disciplines matter once several writers touch the same directory
+// (the service's pool threads, or two bench invocations pointed at one
+// CSV dir or cache):
 //
 //  * append_line(): one O_APPEND open + ONE write(2) per record.  POSIX
 //    guarantees the kernel applies each such write at the current end of
@@ -13,10 +13,10 @@
 //    ofstream in app mode flushes its buffer in unspecified slices and
 //    gives no such guarantee.)
 //
-//  * write_file_atomic(): write to `<path>.tmp.<pid>` then rename(2)
-//    into place.  Readers observe either the old file or the complete
-//    new one, never a torn prefix — the discipline behind the service's
-//    chunk-result cache and its lease-free idempotent retries.
+//  * write_file_atomic(): write to a temp file unique to the writer,
+//    then rename(2) into place.  Readers observe either the old file or
+//    the complete new one, never a torn prefix — the discipline behind
+//    the service's chunk-result cache and its idempotent recomputation.
 #pragma once
 
 #include <optional>
@@ -41,16 +41,5 @@ std::optional<std::string> read_file(const std::string& path);
 /// mkdir -p.  Returns false when a component exists as a non-directory
 /// or creation fails.
 bool make_dirs(const std::string& path);
-
-/// Creates `path` exclusively (O_CREAT | O_EXCL) with `content`.  Returns
-/// false when the file already exists or cannot be created — the
-/// one-winner claim primitive behind the service's chunk leases.
-bool create_exclusive(const std::string& path, std::string_view content);
-
-/// True when `path` exists (any file type).
-bool path_exists(const std::string& path);
-
-/// Unlinks `path`; returns true when the file was removed by this call.
-bool remove_file(const std::string& path);
 
 }  // namespace pp

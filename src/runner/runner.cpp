@@ -1,5 +1,7 @@
 #include "runner/runner.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 
 #include "common/assert.hpp"
@@ -58,9 +60,9 @@ std::vector<double> TrialSet::parallel_times() const {
 
 namespace {
 
-// The fan-out kernel.  `shared_scheduler` lets run_trials() build one
-// (immutable, thread-safe) scheduler for the whole trial set instead of
-// once per trial — graph topologies can be O(n^2) to construct.
+// One trial of the fan-out.  `shared_scheduler` lets run_trial_ranges()
+// build one (immutable, thread-safe) scheduler for the whole trial set
+// instead of once per trial — graph topologies can be O(n^2) to construct.
 TrialRecord run_one_trial_impl(const TrialSpec& spec, u64 trial_index,
                                u64 seed, const Scheduler* shared_scheduler,
                                obs::CounterBlock* block) {
@@ -137,66 +139,36 @@ TrialRecord run_one_trial(const TrialSpec& spec, u64 trial_index, u64 seed) {
   return run_one_trial_impl(spec, trial_index, seed, nullptr, nullptr);
 }
 
-TrialRange run_trial_range(const TrialSpec& spec, u64 master_seed, u64 begin,
-                           u64 end,
-                           const std::function<void(u64)>& after_trial) {
-  PP_ASSERT(begin <= end);
-  obs::init_from_env();
+void run_trial_ranges(const TrialSpec& spec, u64 master_seed,
+                      std::vector<TrialRange>& ranges, ThreadPool& pool,
+                      const std::function<void(u64)>& range_done) {
+  obs::init_from_env();  // POPRANK_TRACE / POPRANK_TRACE_TRIAL, idempotent
   const SeedStream seeds(master_seed, spec.label);
 
-  // Same sharing discipline as run_trials(): expensive per-spec state
-  // (topologies, kernel tables) is built once per range, not per trial.
-  SchedulerPtr shared_scheduler;
-  if (spec.engine == EngineKind::kScheduled && begin < end) {
-    const ProtocolPtr probe = spec.resolve_factory()();
-    shared_scheduler = make_scheduler(spec.scheduler, probe->num_agents());
+  // Index k of the fan-out is the k-th trial of the concatenated ranges;
+  // range i owns indices [first[i], first[i + 1]).
+  std::vector<u64> first(ranges.size() + 1, 0);
+  for (u64 i = 0; i < ranges.size(); ++i) {
+    TrialRange& r = ranges[i];
+    PP_ASSERT(r.begin <= r.end);
+    r.records.assign(r.end - r.begin, TrialRecord{});
+    r.counters.clear();
+    first[i + 1] = first[i] + (r.end - r.begin);
   }
+  const u64 total = first.back();
 
-  TrialRange out;
-  out.begin = begin;
-  out.end = end;
-  out.records.reserve(end - begin);
-  for (u64 t = begin; t < end; ++t) {
-#if PP_OBS
-    obs::CounterBlock block;
-    obs::CounterBlock* const block_ptr = &block;
-#else
-    obs::CounterBlock* const block_ptr = nullptr;
-#endif
-    out.records.push_back(run_one_trial_impl(spec, t, seeds.trial_seed(t),
-                                             shared_scheduler.get(),
-                                             block_ptr));
-#if PP_OBS
-    out.counters.merge(block);
-#endif
-    if (after_trial) after_trial(t);
-  }
-  return out;
-}
-
-TrialSet run_trials(const TrialSpec& spec, const RunnerOptions& opt,
-                    ThreadPool& pool) {
-  PP_ASSERT(opt.trials >= 1);
-  obs::init_from_env();  // POPRANK_TRACE / POPRANK_TRACE_TRIAL, idempotent
-  const SeedStream seeds(opt.master_seed, spec.label);
-
-  // One scheduler for the whole set: Scheduler::run is const and all
+  // One scheduler for all trials: Scheduler::run is const and all
   // per-run state is local, so threads can share the instance.
   SchedulerPtr shared_scheduler;
-  if (spec.engine == EngineKind::kScheduled) {
+  if (spec.engine == EngineKind::kScheduled && total > 0) {
     const ProtocolPtr probe = spec.resolve_factory()();
     shared_scheduler = make_scheduler(spec.scheduler, probe->num_agents());
   }
 
-  TrialSet out;
-  out.threads = pool.size();
-  out.master_seed = opt.master_seed;
-  out.records.resize(opt.trials);
-
 #if PP_OBS
-  // One counter block per trial (merged in trial order below); skipped
+  // One counter block per trial, merged per range in trial order; skipped
   // entirely when the layer is compiled out.
-  std::vector<obs::CounterBlock> blocks(opt.trials);
+  std::vector<obs::CounterBlock> blocks(total);
   obs::CounterBlock* const blocks_data = blocks.data();
 #else
   obs::CounterBlock* const blocks_data = nullptr;
@@ -205,24 +177,56 @@ TrialSet run_trials(const TrialSpec& spec, const RunnerOptions& opt,
   // Heartbeat / stall watchdog, armed only via the environment
   // (POPRANK_HEARTBEAT / POPRANK_STALL_TIMEOUT).
   obs::ProgressMonitor monitor(
-      obs::watchdog_options_from_env(spec.label, opt.trials, spec.n));
+      obs::watchdog_options_from_env(spec.label, total, spec.n));
+
+  // Trials still running per range.  The thread whose decrement empties a
+  // range has, through the acq_rel chain, seen every other trial of it.
+  std::vector<std::atomic<u64>> left(ranges.size());
+  for (u64 i = 0; i < ranges.size(); ++i) {
+    left[i].store(first[i + 1] - first[i], std::memory_order_relaxed);
+    if (first[i + 1] == first[i] && range_done) range_done(i);
+  }
+
+  // Each trial writes only its own record slot and counter block.  The
+  // shared spec is read-only (resolve_factory() copies what it captures).
+  pool.parallel_for(total, [&](u64 k) {
+    const u64 i = static_cast<u64>(
+        std::upper_bound(first.begin(), first.end(), k) - first.begin() - 1);
+    TrialRange& r = ranges[i];
+    const u64 t = r.begin + (k - first[i]);
+    TrialRecord& rec = r.records[k - first[i]];
+    monitor.trial_started(t);
+    rec = run_one_trial_impl(spec, t, seeds.trial_seed(t),
+                             shared_scheduler.get(),
+                             blocks_data == nullptr ? nullptr : blocks_data + k);
+    monitor.trial_finished(t, rec.interactions);
+    if (left[i].fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+#if PP_OBS
+    for (u64 j = first[i]; j < first[i + 1]; ++j) r.counters.merge(blocks[j]);
+#endif
+    if (range_done) range_done(i);
+  });
+}
+
+TrialSet run_trials(const TrialSpec& spec, const RunnerOptions& opt,
+                    ThreadPool& pool) {
+  PP_ASSERT(opt.trials >= 1);
+  std::vector<TrialRange> all(1);
+  all[0].end = opt.trials;
 
   // wall_seconds / trials_per_sec are documented as outside the
   // determinism contract, hence:
   // poprank-lint: allow(R1): wall-clock throughput bookkeeping only
   const auto t0 = std::chrono::steady_clock::now();
-  // Each trial writes only records[t]; no cross-thread state.  The shared
-  // spec is read-only (resolve_factory() copies what it captures).
-  pool.parallel_for(opt.trials, [&](u64 t) {
-    monitor.trial_started(t);
-    out.records[t] =
-        run_one_trial_impl(spec, t, seeds.trial_seed(t),
-                           shared_scheduler.get(),
-                           blocks_data == nullptr ? nullptr : blocks_data + t);
-    monitor.trial_finished(t, out.records[t].interactions);
-  });
+  run_trial_ranges(spec, opt.master_seed, all, pool);
   // poprank-lint: allow(R1): ditto — throughput bookkeeping only.
   const auto t1 = std::chrono::steady_clock::now();
+
+  TrialSet out;
+  out.threads = pool.size();
+  out.master_seed = opt.master_seed;
+  out.records = std::move(all[0].records);
+  out.counters = all[0].counters;
   out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();  // poprank-lint: allow(R1)
   out.trials_per_sec = out.wall_seconds > 0
                            ? static_cast<double>(opt.trials) / out.wall_seconds
@@ -231,9 +235,6 @@ TrialSet run_trials(const TrialSpec& spec, const RunnerOptions& opt,
   // Deterministic aggregation: fold in trial-index order, never in
   // completion order.
   for (const TrialRecord& r : out.records) out.stats.fold(r);
-#if PP_OBS
-  for (const obs::CounterBlock& b : blocks) out.counters.merge(b);
-#endif
   if (!opt.keep_records) {
     out.records.clear();
     out.records.shrink_to_fit();

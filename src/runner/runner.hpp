@@ -152,8 +152,8 @@ TrialSet run_trials(const TrialSpec& spec, const RunnerOptions& opt,
 /// TrialRecord::seed, also the kernel the parallel fan-out executes.
 TrialRecord run_one_trial(const TrialSpec& spec, u64 trial_index, u64 seed);
 
-/// One contiguous slice of a trial set — the unit a service worker shard
-/// computes (src/service/) and the unit the chunk-result cache stores.
+/// One contiguous slice of a trial set — the unit the sharded service
+/// computes and its chunk-result cache stores (src/service/).
 struct TrialRange {
   u64 begin = 0;
   u64 end = 0;  ///< exclusive
@@ -165,18 +165,21 @@ struct TrialRange {
   obs::CounterBlock counters;
 };
 
-/// Runs trials [begin, end) of `spec` serially on the calling thread with
-/// the standard derive_seed(master_seed, label, trial) derivation — the
-/// same kernel run_trials() fans out, sharing one scheduler across the
-/// range the same way.  Because a trial's stream depends only on
-/// (master_seed, label, trial), folding the records of any partition of
-/// [0, trials) back together in trial-index order reproduces a
-/// single-process run_trials() bit for bit; that property is what makes
-/// results *machine-count* independent, not just thread-count independent.
-/// `after_trial(t)` (optional) fires after each trial completes — the
-/// service worker's lease-heartbeat hook.
-TrialRange run_trial_range(const TrialSpec& spec, u64 master_seed, u64 begin,
-                           u64 end,
-                           const std::function<void(u64)>& after_trial = {});
+/// The fan-out kernel behind run_trials(): runs every trial of `ranges` —
+/// disjoint [begin, end) slices of one trial set of `spec`, bounds set by
+/// the caller — as a single parallel_for on `pool`, one trial per index,
+/// with the standard derive_seed(master_seed, label, trial) derivation
+/// and one scheduler shared by all trials.  Fills each range's records
+/// and counters.  `range_done(i)` (optional) fires once per range, on the
+/// thread that finished range i's last trial, after its counters are
+/// merged; it must not touch the other ranges.
+///
+/// Because a trial's stream depends only on (master_seed, label, trial),
+/// folding the records of any partition of [0, trials) back together in
+/// trial-index order reproduces run_trials() bit for bit, however the
+/// trials were scheduled.
+void run_trial_ranges(const TrialSpec& spec, u64 master_seed,
+                      std::vector<TrialRange>& ranges, ThreadPool& pool,
+                      const std::function<void(u64)>& range_done = {});
 
 }  // namespace pp

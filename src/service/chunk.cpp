@@ -37,10 +37,10 @@ std::vector<ChunkSpec> chunk_ranges(u64 trials, u64 chunk_trials) {
 }
 
 u64 default_chunk_trials(u64 trials) {
-  // ~16 chunks per point: enough slack for 4 workers to stay busy and
-  // for a lost lease to cost 1/16 of the point, small enough that the
-  // cache directory stays browsable.  Never a function of the worker
-  // count (see header).
+  // ~16 chunks per point: enough slack for 4 threads to stay busy and
+  // for an interrupted run to lose at most 1/16 of the point, small
+  // enough that the cache directory stays browsable.  Never a function
+  // of the thread count (see header).
   const u64 chunks = 16;
   const u64 per = (trials + chunks - 1) / chunks;
   return per >= 1 ? per : 1;
@@ -86,7 +86,7 @@ std::string serialize_chunk(const std::string& key_material,
     out << "\n";
   }
   // wall_us is outside the determinism contract (it records the compute
-  // cost of whichever process filled the cache) but kept for diagnostics.
+  // cost of whichever run filled the cache) but kept for diagnostics.
   out << "wall_us " << range.counters.wall_us << "\n";
   out << "end\n";
   return out.str();

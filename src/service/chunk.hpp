@@ -4,11 +4,12 @@
 // *chunks* of trial indices.  Because the runner derives trial t's RNG
 // stream from (master_seed, label, t) alone, a chunk's records are a
 // pure function of (spec, master_seed, range) — independent of which
-// process computes them, when, or after how many retries.  That purity
-// is what the whole service leans on:
+// thread computes them, when, or after how many interrupted runs.  That
+// purity is what the whole service leans on:
 //
-//  * Chunks are the unit of distribution: worker shards claim and
-//    compute them independently (service/worker.hpp).
+//  * Chunks are the unit of recomputation: the coordinator recomputes
+//    exactly the missing ones, their trials fanned out on a thread pool
+//    (service/coordinator.hpp).
 //
 //  * Chunks are the unit of caching: a computed chunk is persisted as
 //    `chunk-<fnv1a64-key>.result` in the cache directory, keyed by the
@@ -19,9 +20,9 @@
 //    with its name's (corruption, a hash collision, a format bump) is
 //    detected on load and reported kStale, then recomputed.
 //
-//  * Chunks are idempotent: two workers computing the same chunk write
-//    byte-identical files via atomic rename, so lease races lose only
-//    duplicated work, never correctness.
+//  * Chunks are idempotent: two runs computing the same chunk write
+//    byte-identical files via atomic rename, so two invocations sharing
+//    a cache lose only duplicated work, never correctness.
 //
 // The result file is a line format with bit-exact doubles (parallel
 // times travel as hex u64 bit patterns, not decimal round-trips) and a
@@ -49,8 +50,8 @@ struct ChunkSpec {
 std::vector<ChunkSpec> chunk_ranges(u64 trials, u64 chunk_trials);
 
 /// The default chunk size for a sweep point: trials/16-ish.  Deliberately
-/// a function of the trial count alone — never of the worker count — so
-/// runs with different --service-workers values share cache entries.
+/// a function of the trial count alone — never of the thread count — so
+/// runs with different --threads values share cache entries.
 u64 default_chunk_trials(u64 trials);
 
 /// The canonical key material of one chunk: spec_to_kv(spec) plus master

@@ -1,19 +1,16 @@
 // Tests for the sharded experiment service (src/service/): the chunk
-// model and its on-disk cache, the run_trial_range kernel, and the
-// coordinator/worker fan-out — including the load-bearing claims:
+// model and its on-disk cache, the run_trial_ranges kernel, and the
+// coordinator that computes cache misses on a thread pool — including the
+// load-bearing claims:
 //
-//  * merged aggregates are BIT-identical to single-process run_trials()
-//    at 1, 2 and 4 workers (records, stats, counters, and the sink rows
-//    rendered from them);
-//  * a repeated sweep is 100% cache hits and spawns no workers;
-//  * a worker killed mid-sweep (crash injection) still yields identical
-//    results: its lease expires, the chunk is reassigned, and the
-//    respawned worker re-registers through NodeStatus::kRecovering;
+//  * a cold sharded run is BIT-identical to run_trials() at 1, 2, 4 and 8
+//    threads (records, stats, counters, and the sink rows rendered from
+//    them);
+//  * a repeated sweep is 100% cache hits;
+//  * a partially warm cache (deleted and corrupted chunk files) recomputes
+//    exactly the missing and stale chunks and still merges to the same
+//    bits;
 //  * non-replayable specs fall back in-process, reported.
-//
-// This binary has a custom main: the coordinator re-execs the test
-// executable itself as its worker shards, so worker-mode argv must be
-// routed to service::maybe_run_worker before InitGoogleTest.
 #include "service/coordinator.hpp"
 
 #include <gtest/gtest.h>
@@ -23,8 +20,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/file_io.hpp"
@@ -32,7 +31,6 @@
 #include "runner/runner.hpp"
 #include "runner/sink.hpp"
 #include "service/chunk.hpp"
-#include "service/worker.hpp"
 
 namespace pp {
 namespace {
@@ -69,12 +67,33 @@ TrialSpec small_spec(const std::string& label) {
   return spec;  // default engine, default (replayable) init
 }
 
+/// A scheduled spec: all chunks' trials share one scheduler across the
+/// pool threads.
+TrialSpec scheduled_spec(const std::string& label) {
+  TrialSpec spec = small_spec(label);
+  spec.n = 24;
+  spec.engine = EngineKind::kScheduled;
+  spec.scheduler.kind = SchedulerKind::kDynamicGraph;
+  spec.scheduler.graph = GraphKind::kCycle;
+  spec.scheduler.dynamics = GraphDynamics::kEdgeMarkovian;
+  spec.max_interactions = 50000;
+  return spec;
+}
+
 RunnerOptions small_options(u64 trials, u64 seed = 12345) {
   RunnerOptions opt;
   opt.trials = trials;
   opt.master_seed = seed;
   opt.threads = 2;
   return opt;
+}
+
+service::ServiceOptions cache_options(const std::string& tag,
+                                      u64 chunk_trials) {
+  service::ServiceOptions sopt;
+  sopt.cache_dir = fresh_dir(tag);
+  sopt.chunk_trials = chunk_trials;
+  return sopt;
 }
 
 void expect_records_identical(const std::vector<TrialRecord>& a,
@@ -136,33 +155,40 @@ std::string render_aggregate_rows(const TrialSpec& spec, TrialSet set) {
   return csv.str() + jsonl.str();
 }
 
-// ---- run_trial_range -----------------------------------------------------
+// ---- run_trial_ranges ----------------------------------------------------
 
-TEST(TrialRange, PartitionReproducesRunTrials) {
+TEST(TrialRanges, PartitionReproducesRunTrials) {
   const TrialSpec spec = small_spec("svc-range");
   const RunnerOptions opt = small_options(17);
   const TrialSet whole = run_trials(spec, opt);
 
-  // Any partition of [0, trials), folded back in order, must match.
-  std::vector<TrialRecord> stitched;
-  obs::CounterBlock counters;
-  for (const auto& [b, e] :
-       std::vector<std::pair<u64, u64>>{{0, 5}, {5, 6}, {6, 6}, {6, 17}}) {
-    const TrialRange r = run_trial_range(spec, opt.master_seed, b, e);
-    EXPECT_EQ(r.records.size(), e - b);
-    stitched.insert(stitched.end(), r.records.begin(), r.records.end());
-    counters.merge(r.counters);
+  // Any partition of [0, trials) — listed out of order, with an empty
+  // slice — run as one fan-out and folded back in trial order must match.
+  std::vector<TrialRange> ranges(4);
+  for (const auto& [i, b, e] : std::vector<std::tuple<u64, u64, u64>>{
+           {0, 6, 17}, {1, 0, 5}, {2, 6, 6}, {3, 5, 6}}) {
+    ranges[i].begin = b;
+    ranges[i].end = e;
   }
-  expect_records_identical(whole.records, stitched);
-  EXPECT_TRUE(
-      obs::CounterBlock::deterministic_equal(whole.counters, counters));
-}
+  for (const u64 threads : {1u, 3u}) {
+    ThreadPool pool(threads);
+    std::vector<u64> done(ranges.size(), 0);
+    run_trial_ranges(spec, opt.master_seed, ranges, pool,
+                     [&](u64 i) { ++done[i]; });
+    EXPECT_EQ(done, (std::vector<u64>{1, 1, 1, 1})) << threads;
 
-TEST(TrialRange, AfterTrialHookFiresPerTrial) {
-  const TrialSpec spec = small_spec("svc-hook");
-  std::vector<u64> seen;
-  run_trial_range(spec, 7, 3, 8, [&](u64 t) { seen.push_back(t); });
-  EXPECT_EQ(seen, (std::vector<u64>{3, 4, 5, 6, 7}));
+    std::vector<TrialRecord> stitched;
+    obs::CounterBlock counters;
+    for (const u64 i : {1u, 3u, 2u, 0u}) {
+      EXPECT_EQ(ranges[i].records.size(), ranges[i].end - ranges[i].begin);
+      stitched.insert(stitched.end(), ranges[i].records.begin(),
+                      ranges[i].records.end());
+      counters.merge(ranges[i].counters);
+    }
+    expect_records_identical(whole.records, stitched);
+    EXPECT_TRUE(
+        obs::CounterBlock::deterministic_equal(whole.counters, counters));
+  }
 }
 
 // ---- chunk model & cache -------------------------------------------------
@@ -177,7 +203,7 @@ TEST(ChunkCache, PartitionCoversTrialSpace) {
     expect_begin = chunks[i].end;
   }
   EXPECT_EQ(chunks.back().end, 17u);
-  // Chunk sizing never depends on worker count (cache-sharing contract).
+  // Chunk sizing never depends on thread count (cache-sharing contract).
   EXPECT_GE(service::default_chunk_trials(1), 1u);
   EXPECT_EQ(service::default_chunk_trials(160), 10u);
 }
@@ -193,7 +219,11 @@ TEST(ChunkCache, HitMissStale) {
             service::CacheProbe::kMiss);
 
   // Hit: store, load, records round-trip exactly.
-  const TrialRange range = run_trial_range(spec, 99, 0, 4);
+  std::vector<TrialRange> ranges(1);
+  ranges[0].end = 4;
+  ThreadPool pool(1);
+  run_trial_ranges(spec, 99, ranges, pool);
+  const TrialRange& range = ranges[0];
   ASSERT_NE(service::store_chunk(dir, material, chunk, range), "");
   service::ChunkLoad load = service::load_chunk(dir, material, chunk);
   ASSERT_EQ(load.status, service::CacheProbe::kHit);
@@ -221,171 +251,97 @@ TEST(ChunkCache, HitMissStale) {
 
 // ---- sharded runs: bit identity ------------------------------------------
 
-TEST(Service, InProcessShardingBitIdenticalAndCached) {
-  const TrialSpec spec = small_spec("svc-shard0");
-  const RunnerOptions opt = small_options(24);
-  const TrialSet base = run_trials(spec, opt);
+TEST(Service, ColdRunBitIdenticalAt1_2_4_8Threads) {
+  for (const TrialSpec& spec :
+       {small_spec("svc-cold"), scheduled_spec("svc-cold-dyn")}) {
+    RunnerOptions opt = small_options(24);
+    opt.threads = 1;
+    const TrialSet base = run_trials(spec, opt);
+    const std::string base_trials = render_trial_rows(spec, base);
+    const std::string base_aggregate = render_aggregate_rows(spec, base);
 
-  service::ServiceOptions sopt;
-  sopt.workers = 0;
-  sopt.cache_dir = fresh_dir("svc0");
-  sopt.chunk_trials = 5;
+    for (const u64 threads : {1u, 2u, 4u, 8u}) {
+      opt.threads = threads;
+      service::ServiceOptions sopt =
+          cache_options("svct" + std::to_string(threads), 3);
+      service::ServiceReport rep;
+      const TrialSet sharded = run_trials_sharded(spec, opt, sopt, &rep);
+      expect_sets_identical(base, sharded);
+      EXPECT_EQ(rep.chunks, 8u) << threads;
+      EXPECT_EQ(rep.cache_misses, 8u) << threads;
+      EXPECT_EQ(rep.cache_hits, 0u) << threads;
+      EXPECT_EQ(rep.inprocess_chunks, 8u) << threads;
+      EXPECT_FALSE(rep.fallback_in_process);
+      // The reported thread count is the pool's, as for run_trials().
+      EXPECT_EQ(sharded.threads, threads);
 
-  service::ServiceReport rep;
-  const TrialSet cold = run_trials_sharded(spec, opt, sopt, &rep);
-  expect_sets_identical(base, cold);
-  EXPECT_EQ(rep.chunks, 5u);
-  EXPECT_EQ(rep.cache_misses, 5u);
-  EXPECT_EQ(rep.cache_hits, 0u);
-  EXPECT_EQ(rep.inprocess_chunks, 5u);
-
-  // Second invocation: pure cache, zero computation, same bits.
-  const TrialSet warm = run_trials_sharded(spec, opt, sopt, &rep);
-  expect_sets_identical(base, warm);
-  EXPECT_EQ(rep.cache_hits, 5u);
-  EXPECT_EQ(rep.cache_misses, 0u);
-  EXPECT_EQ(rep.inprocess_chunks, 0u);
-
-  // A different master seed keys different chunks: misses again.
-  const RunnerOptions reseeded = small_options(24, 777);
-  run_trials_sharded(spec, reseeded, sopt, &rep);
-  EXPECT_EQ(rep.cache_misses, 5u);
-}
-
-TEST(Service, WorkerShardingBitIdenticalAt1_2_4Workers) {
-  const TrialSpec spec = small_spec("svc-fleet");
-  const RunnerOptions opt = small_options(24);
-  const TrialSet base = run_trials(spec, opt);
-  const std::string base_trials = render_trial_rows(spec, base);
-  const std::string base_aggregate = render_aggregate_rows(spec, base);
-
-  for (const u64 workers : {1u, 2u, 4u}) {
-    service::ServiceOptions sopt;
-    sopt.workers = workers;
-    sopt.cache_dir = fresh_dir("svcw" + std::to_string(workers));
-    sopt.chunk_trials = 4;
-
-    service::ServiceReport rep;
-    const TrialSet sharded = run_trials_sharded(spec, opt, sopt, &rep);
-    expect_sets_identical(base, sharded);
-    EXPECT_GE(rep.workers_spawned, 1u) << workers;
-
-    // Sink rows: trial rows byte-identical as-is; aggregate rows
-    // byte-identical once the documented wall-clock fields are
-    // normalized out.
-    EXPECT_EQ(base_trials, render_trial_rows(spec, sharded)) << workers;
-    EXPECT_EQ(base_aggregate, render_aggregate_rows(spec, sharded))
-        << workers;
+      // Sink rows: trial rows byte-identical as-is; aggregate rows
+      // byte-identical once the documented wall-clock fields are
+      // normalized out.
+      EXPECT_EQ(base_trials, render_trial_rows(spec, sharded)) << threads;
+      EXPECT_EQ(base_aggregate, render_aggregate_rows(spec, sharded))
+          << threads;
+    }
   }
 }
 
-TEST(Service, SecondInvocationIsAllHitsNoWorkers) {
+TEST(Service, WarmRerunIsAllHits) {
   const TrialSpec spec = small_spec("svc-rerun");
-  const RunnerOptions opt = small_options(20);
-
-  service::ServiceOptions sopt;
-  sopt.workers = 2;
-  sopt.cache_dir = fresh_dir("svcrerun");
-  sopt.chunk_trials = 5;
+  RunnerOptions opt = small_options(20);
+  opt.threads = 4;
+  const service::ServiceOptions sopt = cache_options("svcrerun", 5);
 
   service::ServiceReport rep;
   const TrialSet first = run_trials_sharded(spec, opt, sopt, &rep);
   EXPECT_EQ(rep.cache_misses, 4u);
 
+  // Pure cache, zero computation, same bits — at any thread count.
+  opt.threads = 1;
   const TrialSet second = run_trials_sharded(spec, opt, sopt, &rep);
   expect_sets_identical(first, second);
+  EXPECT_EQ(rep.chunks, 4u);
   EXPECT_EQ(rep.cache_hits, 4u);
   EXPECT_EQ(rep.cache_misses, 0u);
-  EXPECT_EQ(rep.workers_spawned, 0u);  // nothing left to fan out
+  EXPECT_EQ(rep.cache_stale, 0u);
+  EXPECT_EQ(rep.inprocess_chunks, 0u);
+
+  // A different master seed keys different chunks: misses again.
+  const RunnerOptions reseeded = small_options(20, 777);
+  run_trials_sharded(spec, reseeded, sopt, &rep);
+  EXPECT_EQ(rep.cache_misses, 4u);
 }
 
-TEST(Service, StaleChunkIsRecomputed) {
-  const TrialSpec spec = small_spec("svc-stale");
-  const RunnerOptions opt = small_options(20);
-
-  service::ServiceOptions sopt;
-  sopt.workers = 0;
-  sopt.cache_dir = fresh_dir("svcstale");
-  sopt.chunk_trials = 5;
+TEST(Service, PartiallyWarmCacheRecomputesExactlyTheGaps) {
+  const TrialSpec spec = small_spec("svc-partial");
+  RunnerOptions opt = small_options(32);
+  const TrialSet base = run_trials(spec, opt);
+  const service::ServiceOptions sopt = cache_options("svcpartial", 4);
 
   service::ServiceReport rep;
-  const TrialSet first = run_trials_sharded(spec, opt, sopt, &rep);
+  run_trials_sharded(spec, opt, sopt, &rep);
+  ASSERT_EQ(rep.chunks, 8u);
 
-  // Corrupt one cached chunk in place (a torn write).
+  // Delete three chunk files and corrupt a fourth (a torn write).
   const std::string chunks_dir = sopt.cache_dir + "/chunks";
   const std::vector<std::string> files = list_dir(chunks_dir);
-  ASSERT_EQ(files.size(), 4u);
-  write_file_atomic(chunks_dir + "/" + files[0], "poprank-chunk-v1\ntorn");
+  ASSERT_EQ(files.size(), 8u);
+  for (const u64 i : {1u, 4u, 6u}) {
+    ASSERT_EQ(std::remove((chunks_dir + "/" + files[i]).c_str()), 0);
+  }
+  write_file_atomic(chunks_dir + "/" + files[2], "poprank-chunk-v1\ntorn");
 
-  const TrialSet second = run_trials_sharded(spec, opt, sopt, &rep);
-  expect_sets_identical(first, second);
+  opt.threads = 4;
+  const TrialSet patched = run_trials_sharded(spec, opt, sopt, &rep);
+  expect_sets_identical(base, patched);
+  EXPECT_EQ(rep.cache_hits, 4u);
+  EXPECT_EQ(rep.cache_misses, 3u);
   EXPECT_EQ(rep.cache_stale, 1u);
-  EXPECT_EQ(rep.cache_hits, 3u);
-  EXPECT_EQ(rep.inprocess_chunks, 1u);
-}
+  EXPECT_EQ(rep.inprocess_chunks, rep.cache_misses + rep.cache_stale);
 
-// ---- failure handling ----------------------------------------------------
-
-TEST(Service, CrashedWorkerLeaseExpiresAndRejoinsRecovering) {
-  const TrialSpec spec = small_spec("svc-crash");
-  const RunnerOptions opt = small_options(24);
-  const TrialSet base = run_trials(spec, opt);
-
-  service::ServiceOptions sopt;
-  sopt.workers = 2;
-  sopt.cache_dir = fresh_dir("svccrash");
-  sopt.chunk_trials = 3;
-  sopt.lease_timeout_ms = 300;  // fast expiry keeps the test snappy
-
-  // Worker 0 hard-exits right after claiming its first chunk (once; the
-  // marker file stops the respawned incarnation from crash-looping).
-  ASSERT_EQ(setenv("POPRANK_SERVICE_CRASH_AFTER", "1", 1), 0);
-  service::ServiceReport rep;
-  const TrialSet sharded = run_trials_sharded(spec, opt, sopt, &rep);
-  ASSERT_EQ(unsetenv("POPRANK_SERVICE_CRASH_AFTER"), 0);
-
-  // The kill cost nothing but time: bits identical, the orphaned lease
-  // was expired and its chunk reassigned, the dead worker was respawned.
-  expect_sets_identical(base, sharded);
-  EXPECT_GE(rep.leases_expired, 1u);
-  EXPECT_GE(rep.workers_respawned, 1u);
-
-  // The respawned incarnation re-registered through the recovery state.
-  const std::vector<std::string> jobs = list_dir(sopt.cache_dir + "/jobs");
-  ASSERT_EQ(jobs.size(), 1u);
-  const std::string status =
-      read_file(sopt.cache_dir + "/jobs/" + jobs[0] + "/workers/w0.status")
-          .value_or("");
-  EXPECT_NE(status.find("joining"), std::string::npos) << status;
-  EXPECT_NE(status.find("recovering"), std::string::npos) << status;
-  EXPECT_NE(status.find("offline"), std::string::npos) << status;
-}
-
-TEST(Service, WorkerStatusLifecycle) {
-  const TrialSpec spec = small_spec("svc-status");
-  const RunnerOptions opt = small_options(8);
-
-  service::ServiceOptions sopt;
-  sopt.workers = 1;
-  sopt.cache_dir = fresh_dir("svcstatus");
-  sopt.chunk_trials = 4;
-
-  run_trials_sharded(spec, opt, sopt);
-  const std::vector<std::string> jobs = list_dir(sopt.cache_dir + "/jobs");
-  ASSERT_EQ(jobs.size(), 1u);
-  const std::string status =
-      read_file(sopt.cache_dir + "/jobs/" + jobs[0] + "/workers/w0.status")
-          .value_or("");
-  // Clean lifecycle: joining -> online -> offline, in that order.
-  const auto joining = status.find("joining");
-  const auto online = status.find("online");
-  const auto offline = status.find("offline");
-  ASSERT_NE(joining, std::string::npos) << status;
-  ASSERT_NE(online, std::string::npos) << status;
-  ASSERT_NE(offline, std::string::npos) << status;
-  EXPECT_LT(joining, online);
-  EXPECT_LT(online, offline);
-  EXPECT_EQ(status.find("recovering"), std::string::npos) << status;
+  // The recomputed chunks went back to the cache: the next run is warm.
+  EXPECT_EQ(list_dir(chunks_dir).size(), 8u);
+  run_trials_sharded(spec, opt, sopt, &rep);
+  EXPECT_EQ(rep.cache_hits, 8u);
 }
 
 TEST(Service, NonReplayableSpecFallsBackInProcess) {
@@ -395,25 +351,21 @@ TEST(Service, NonReplayableSpecFallsBackInProcess) {
   const RunnerOptions opt = small_options(6);
   const TrialSet base = run_trials(spec, opt);
 
-  service::ServiceOptions sopt;
-  sopt.workers = 2;
-  sopt.cache_dir = fresh_dir("svcfb");
-
   service::ServiceReport rep;
-  const TrialSet fell_back = run_trials_sharded(spec, opt, sopt, &rep);
+  const TrialSet fell_back =
+      run_trials_sharded(spec, opt, cache_options("svcfb", 0), &rep);
   expect_records_identical(base.records, fell_back.records);
   EXPECT_TRUE(rep.fallback_in_process);
-  EXPECT_EQ(rep.workers_spawned, 0u);
   EXPECT_EQ(rep.chunks, 0u);
+}
+
+TEST(Service, RejectsWorkerCount) {
+  service::ServiceOptions sopt = cache_options("svcworkers", 0);
+  sopt.workers = 2;
+  EXPECT_DEATH(
+      run_trials_sharded(small_spec("svc-workers"), small_options(4), sopt),
+      "workers must be 0");
 }
 
 }  // namespace
 }  // namespace pp
-
-int main(int argc, char** argv) {
-  // Worker shards are this same binary, re-exec'd by the coordinator:
-  // route worker-mode argv to the worker loop before gtest sees it.
-  pp::service::maybe_run_worker(argc, argv);
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}
