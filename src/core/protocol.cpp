@@ -1,5 +1,7 @@
 #include "core/protocol.hpp"
 
+#include <utility>
+
 #include "common/assert.hpp"
 
 namespace pp {
@@ -11,8 +13,6 @@ Protocol::Protocol(u64 num_agents, u64 num_ranks, u64 num_extra)
   PP_ASSERT_MSG(n_agents_ >= 2, "need at least two agents to interact");
   PP_ASSERT_MSG(n_ranks_ >= 1, "need at least one rank state");
   counts_.assign(n_states_, 0);
-  rank_weight_.reset(n_ranks_);
-  count_all_.reset(n_states_);
 }
 
 void Protocol::reset(const Configuration& c) {
@@ -23,14 +23,28 @@ void Protocol::reset(const Configuration& c) {
   PP_ASSERT_MSG(rules_.size() == n_ranks_,
                 "derived protocol did not install its rule table");
   counts_ = c.counts;
-  rank_weight_.reset(n_ranks_);
-  count_all_.reset(n_states_);
-  for (StateId s = 0; s < n_states_; ++s) {
-    if (counts_[s] == 0) continue;
-    count_all_.set(s, counts_[s]);
-    if (s < n_ranks_) rank_weight_.set(s, counts_[s] * (counts_[s] - 1));
+  std::vector<u64> weights(n_ranks_);
+  u64 rank_total = 0;
+  for (StateId s = 0; s < n_ranks_; ++s) {
+    const u64 cs = counts_[s];
+    weights[s] = cs * (cs - (cs > 0 ? 1 : 0));
+    rank_total += cs;
   }
+  rank_weight_.assign(std::move(weights));
+  extra_agents_ = 0;
+  for (u64 s = n_ranks_; s < n_states_; ++s) extra_agents_ += counts_[s];
+  PP_DCHECK(extra_agents_ + rank_total == n_agents_);
+  count_live_ = false;
   on_reset();
+}
+
+Fenwick& Protocol::count_tree() {
+  if (!count_live_) {
+    count_all_.assign(counts_);
+    count_live_ = true;
+    PP_DCHECK(count_all_.total() == n_agents_);
+  }
+  return count_all_;
 }
 
 void Protocol::mutate(StateId s, i64 delta) {
@@ -41,10 +55,12 @@ void Protocol::mutate(StateId s, i64 delta) {
                   "mutate would drive a state count negative");
   }
   counts_[s] = static_cast<u64>(static_cast<i64>(counts_[s]) + delta);
-  count_all_.add(s, delta);
+  if (count_live_) count_all_.add(s, delta);
   if (s < n_ranks_) {
     const u64 c = counts_[s];
     rank_weight_.set(s, c * (c - (c > 0 ? 1 : 0)));
+  } else {
+    extra_agents_ = static_cast<u64>(static_cast<i64>(extra_agents_) + delta);
   }
 }
 
@@ -52,9 +68,32 @@ void Protocol::apply_rank_rule(StateId s) {
   PP_DCHECK(s < n_ranks_);
   PP_DCHECK(counts_[s] >= 2);
   const Rule r = rules_[s];
-  mutate(s, -2);
-  mutate(r.out1, +1);
-  mutate(r.out2, +1);
+  move_pair(s, s, r.out1, r.out2);
+}
+
+void Protocol::move_pair(StateId from1, StateId from2, StateId to1,
+                         StateId to2) {
+  // An agent landing where the other one (or itself) started cancels
+  // that state's -1 against its +1: one move remains, e.g.
+  // (s,s) -> (s,t) is -1 on s and +1 on t.
+  if (to1 == from1) return move_agent(from2, to2);
+  if (to2 == from2) return move_agent(from1, to1);
+  if (to1 == from2) return move_agent(from1, to2);
+  if (to2 == from1) return move_agent(from2, to1);
+  // The sources and the targets are now disjoint; two agents leaving or
+  // entering one state are a single -2/+2.
+  if (from1 == from2) {
+    mutate(from1, -2);
+  } else {
+    mutate(from1, -1);
+    mutate(from2, -1);
+  }
+  if (to1 == to2) {
+    mutate(to1, +2);
+  } else {
+    mutate(to1, +1);
+    mutate(to2, +1);
+  }
 }
 
 void Protocol::step_productive(Rng& rng) {
@@ -71,12 +110,12 @@ void Protocol::step_productive(Rng& rng) {
 
 bool Protocol::step_uniform(Rng& rng) {
   // Initiator uniform among agents; responder uniform among the rest.
-  const StateId si =
-      static_cast<StateId>(count_all_.find(rng.below(n_agents_)));
-  count_all_.add(si, -1);
+  Fenwick& counts = count_tree();
+  const StateId si = static_cast<StateId>(counts.find(rng.below(n_agents_)));
+  counts.add(si, -1);
   const StateId sr =
-      static_cast<StateId>(count_all_.find(rng.below(n_agents_ - 1)));
-  count_all_.add(si, +1);
+      static_cast<StateId>(counts.find(rng.below(n_agents_ - 1)));
+  counts.add(si, +1);
 
   if (si < n_ranks_ && sr < n_ranks_) {
     if (si != sr) return false;  // state-optimal rules are (s,s) only
@@ -94,10 +133,7 @@ std::pair<StateId, StateId> Protocol::apply_pair(StateId initiator,
             (initiator == responder ? static_cast<u64>(2) : 1));
   const auto [i2, r2] = transition(initiator, responder);
   if (i2 == initiator && r2 == responder) return {initiator, responder};
-  mutate(initiator, -1);
-  mutate(responder, -1);
-  mutate(i2, +1);
-  mutate(r2, +1);
+  move_pair(initiator, responder, i2, r2);
   return {i2, r2};
 }
 

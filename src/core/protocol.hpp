@@ -137,22 +137,28 @@ class Protocol {
   /// --- O(log n) mutation API for fault models --------------------------
   /// A churn fault teleports k agents; rebuilding the protocol from a
   /// copied configuration costs O(n), these three calls cost O(k log n)
-  /// total.  ChurnScheduler's fast path uses them; the copy-and-rebuild
-  /// reference survives behind SchedulerSpec::dense_reference and tests
-  /// pin the two paths bit-identical.
+  /// total once the count tree is live (its O(n) build happens once per
+  /// reset(), on the first uniform_agent_state()).  ChurnScheduler's fast
+  /// path uses them; the copy-and-rebuild reference survives behind
+  /// SchedulerSpec::dense_reference and tests pin the two paths
+  /// bit-identical.
 
   /// State of the `target`-th agent under the canonical count ordering
   /// (agents are anonymous: "a uniform agent" is a state sampled with
-  /// probability proportional to its count).  `target` in [0, n).
-  StateId uniform_agent_state(u64 target) const {
+  /// probability proportional to its count).  `target` in [0, n).  Builds
+  /// the count tree on first use (O(n) once; mutations keep it current).
+  StateId uniform_agent_state(u64 target) {
     PP_DCHECK(target < n_agents_);
-    return static_cast<StateId>(count_all_.find(target));
+    return static_cast<StateId>(count_tree().find(target));
   }
 
   /// Teleports one agent from state `from` (which must be occupied) to
-  /// state `to`, keeping counts and both Fenwick trees consistent.
-  /// Callers mutating in bulk must call commit_moves() afterwards.
+  /// state `to`, keeping counts and every live Fenwick tree consistent;
+  /// from == to is a no-op.  Callers mutating in bulk must call
+  /// commit_moves() afterwards.
   void move_agent(StateId from, StateId to) {
+    PP_DCHECK(counts_[from] >= 1);
+    if (from == to) return;
     mutate(from, -1);
     mutate(to, +1);
   }
@@ -206,27 +212,39 @@ class Protocol {
   virtual void on_reset() {}
 
   /// --- helpers for derived classes -----------------------------------
-  /// Adds delta agents to state s, keeping counts and both Fenwick trees
-  /// consistent.
+  /// Adds delta agents to state s, keeping counts, the extra-agent tally
+  /// and every live Fenwick tree consistent.
   void mutate(StateId s, i64 delta);
   /// Fires the same-state rule of rank state s (two agents in s interact).
   void apply_rank_rule(StateId s);
   u64 count(StateId s) const { return counts_[s]; }
   /// Total number of agents currently in rank states.
-  u64 rank_agents() const { return count_all_.prefix(n_ranks_); }
+  u64 rank_agents() const { return n_agents_ - extra_agents_; }
   /// Samples a rank state with probability proportional to its count;
-  /// `target` must be uniform in [0, rank_agents()).
-  StateId sample_rank_by_count(u64 target) const {
-    return static_cast<StateId>(count_all_.find(target));
+  /// `target` must be uniform in [0, rank_agents()).  Builds the count
+  /// tree on first use.
+  StateId sample_rank_by_count(u64 target) {
+    return static_cast<StateId>(count_tree().find(target));
   }
 
  private:
+  /// The count tree, built from counts_ on first use after a reset().
+  Fenwick& count_tree();
+  /// Moves two agents from states (from1, from2) to (to1, to2) with one
+  /// point update per tree entry whose state count changes net.
+  void move_pair(StateId from1, StateId from2, StateId to1, StateId to2);
+
   u64 n_agents_;
   u64 n_ranks_;
   u64 n_states_;
   std::vector<u64> counts_;
-  Fenwick rank_weight_;  // rank states: c_s * (c_s - 1)
-  Fenwick count_all_;    // all states: c_s
+  u64 extra_agents_ = 0;  // agents in extra states
+  Fenwick rank_weight_;   // rank states: c_s * (c_s - 1)
+  // All states: c_s.  Only the uniform scheduler, churn and the extra
+  // states' rank sampling read it, so it is built lazily and, once live,
+  // kept current by mutate().
+  Fenwick count_all_;
+  bool count_live_ = false;
 };
 
 using ProtocolPtr = std::unique_ptr<Protocol>;

@@ -5,9 +5,10 @@
 //   * a tree of per-state "productive weights" c_s(c_s - 1) used to sample
 //     the next productive interaction, and
 //   * a tree of raw per-state agent counts used to sample uniform
-//     interaction partners.
-// Both see one increment/decrement per state whose count changes, i.e. at
-// most four point updates per simulated interaction.
+//     interaction partners, built on first use (the accelerated engine on
+//     a protocol without extra states never reads it).
+// A live tree sees one point update per state whose count changes net, so
+// a same-state rank rule costs at most three walks of the weight tree.
 #pragma once
 
 #include <vector>

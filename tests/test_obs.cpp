@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "core/initial.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
@@ -27,6 +28,7 @@
 #include "runner/runner.hpp"
 #include "runner/seed_stream.hpp"
 #include "runner/sink.hpp"
+#include "rng/seed_sequence.hpp"
 
 namespace pp {
 namespace {
@@ -182,6 +184,109 @@ TEST(ObsCounters, CountersDoNotPerturbTrajectories) {
     EXPECT_EQ(solo.productive_steps, set.records[t].productive_steps) << t;
     EXPECT_EQ(solo.fault_events, set.records[t].fault_events) << t;
   }
+}
+
+// ---- Fenwick work budget ---------------------------------------------------
+//
+// Hard, machine-independent gates on the event loop's tree work: reset()
+// builds its trees in O(n) without point updates, and a rank rule costs
+// one point update per rank state whose productive weight c(c-1) changes
+// net — at most 2 for ag's (s,s) -> (s,s+1), at most 3 for ring-of-traps.
+
+#if PP_OBS
+// Point updates a step from `before` to `after` needs on a protocol
+// without extra states (the count tree is never built on that path).
+u64 changed_rank_weights(const std::vector<u64>& before,
+                         const std::vector<u64>& after) {
+  u64 changed = 0;
+  for (size_t s = 0; s < before.size(); ++s) {
+    const u64 b = before[s];
+    const u64 a = after[s];
+    if (b * (b - (b > 0 ? 1 : 0)) != a * (a - (a > 0 ? 1 : 0))) ++changed;
+  }
+  return changed;
+}
+#endif
+
+TEST(ObsWork, ResetMakesNoFenwickUpdates) {
+#if !PP_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  for (const auto name : protocol_names()) {
+    ProtocolPtr p = make_protocol(name, preferred_population(name, 1000));
+    Rng rng(derive_seed(81, name));
+    const Configuration c = initial::uniform_random(*p, rng);
+    CounterBlock block;
+    {
+      obs::ScopedCounters scope(&block);
+      p->reset(c);
+      p->reset(c);
+    }
+    EXPECT_EQ(block.get(Counter::kFenwickUpdates), 0u) << name;
+  }
+#endif
+}
+
+TEST(ObsWork, RankRuleCostsOneUpdatePerChangedWeight) {
+#if !PP_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  for (const std::string name : {"ag", "ring-of-traps"}) {
+    const u64 max_updates = name == "ag" ? 2 : 3;
+    ProtocolPtr p = make_protocol(name, preferred_population(name, 500));
+    Rng rng(derive_seed(82, name));
+    p->reset(initial::uniform_random(*p, rng));
+    for (int step = 0; step < 2000 && !p->is_silent(); ++step) {
+      const std::vector<u64> before = p->counts();
+      CounterBlock block;
+      {
+        obs::ScopedCounters scope(&block);
+        p->step_productive(rng);
+      }
+      const u64 updates = block.get(Counter::kFenwickUpdates);
+      ASSERT_EQ(updates, changed_rank_weights(before, p->counts()))
+          << name << " step " << step;
+      ASSERT_LE(updates, max_updates) << name << " step " << step;
+    }
+  }
+#endif
+}
+
+TEST(ObsWork, AcceleratedRunStaysWithinUpdateBudget) {
+#if !PP_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  const auto run = [](ProtocolPtr& p, Rng& rng) {
+    CounterBlock block;
+    RunResult r;
+    {
+      obs::ScopedCounters scope(&block);
+      r = run_accelerated(*p, rng);
+    }
+    EXPECT_TRUE(r.silent) << p->name();
+    EXPECT_GT(r.productive_steps, 0u) << p->name();
+    return std::pair{block.get(Counter::kFenwickUpdates), r.productive_steps};
+  };
+  for (const std::string name : {"ag", "ring-of-traps"}) {
+    ProtocolPtr p = make_protocol(name, preferred_population(name, 2000));
+    Rng rng(derive_seed(83, name));
+    p->reset(initial::k_distant(*p, 1, rng));
+    const auto [updates, steps] = run(p, rng);
+    if (name == "ag") {
+      // The duplicate walks the ring: every event empties one weight and
+      // fills the next, except the last, which lands in the hole and
+      // leaves that weight at 0.
+      EXPECT_EQ(updates, 2 * steps - 1);
+    } else {
+      EXPECT_LE(updates, 3 * steps);
+    }
+    // Random starts pile up to c > 2 agents per state, where the net
+    // deltas matter: (s,s) -> (s,t) still touches only s and t.
+    p->reset(initial::uniform_random(*p, rng));
+    const auto [random_updates, random_steps] = run(p, rng);
+    EXPECT_LE(random_updates, (name == "ag" ? 2 : 3) * random_steps) << name;
+  }
+#endif
 }
 
 // ---- generalized fault_events (partition split/heal) ---------------------

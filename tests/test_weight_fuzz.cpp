@@ -3,7 +3,14 @@
 // productive-weight bookkeeping must equal the brute-force count derived
 // from the formal transition function δ.  This is the single strongest
 // guard against bookkeeping drift anywhere in the Fenwick machinery.
+//
+// The mixed-path fuzz also covers the lazily built count tree: rank-only
+// events run before its first use, and afterwards every mutation path
+// (productive steps, uniform steps, churn-style moves) must keep it equal
+// to the count vector.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/agent_simulator.hpp"
 #include "core/initial.hpp"
@@ -88,6 +95,74 @@ TEST(WeightFuzz, UniformStepPreservesConsistencyToo) {
     ASSERT_EQ(p->productive_weight(),
               reference_productive_weight(*p, p->counts()))
         << name;
+  }
+}
+
+// State of agent `target` under the canonical count ordering, read off the
+// count vector directly.
+StateId canonical_agent_state(const std::vector<u64>& counts, u64 target) {
+  StateId s = 0;
+  while (target >= counts[s]) target -= counts[s++];
+  return s;
+}
+
+void expect_consistent(Protocol& p, const std::string& where) {
+  ASSERT_EQ(p.productive_weight(), reference_productive_weight(p, p.counts()))
+      << where;
+  const std::vector<u64>& counts = p.counts();
+  for (u64 t = 0; t < p.num_agents(); ++t) {
+    ASSERT_EQ(p.uniform_agent_state(t), canonical_agent_state(counts, t))
+        << where << " agent " << t;
+  }
+}
+
+TEST(WeightFuzz, MixedPathsKeepEveryTreeConsistent) {
+  for (const auto name : protocol_names()) {
+    for (const u64 hint : {2, 5, 13, 34, 72, 150}) {
+      const u64 n = preferred_population(name, hint);
+      ProtocolPtr p = make_protocol(name, n);
+      Rng rng(derive_seed(75, name, n));
+      for (int trial = 0; trial < 6; ++trial) {
+        p->reset(initial::uniform_random(*p, rng));
+        // Rank-only events first, so the count tree is built from a
+        // configuration the productive path has already moved.
+        const u64 warmup = rng.below(8);
+        for (u64 s = 0; s < warmup && !p->is_silent(); ++s) {
+          p->step_productive(rng);
+          ASSERT_EQ(p->productive_weight(),
+                    reference_productive_weight(*p, p->counts()));
+        }
+        for (int op = 0; op < 60; ++op) {
+          const std::string where = std::string(name) + " n=" +
+                                    std::to_string(n) + " trial " +
+                                    std::to_string(trial) + " op " +
+                                    std::to_string(op);
+          switch (rng.below(4)) {
+            case 0:
+              if (!p->is_silent()) p->step_productive(rng);
+              break;
+            case 1:
+              p->step_uniform(rng);
+              break;
+            case 2: {
+              const StateId from =
+                  canonical_agent_state(p->counts(), rng.below(n));
+              const auto to = static_cast<StateId>(rng.below(p->num_states()));
+              p->move_agent(from, to);
+              p->commit_moves();
+              break;
+            }
+            default: {
+              const u64 t = rng.below(n);
+              ASSERT_EQ(p->uniform_agent_state(t),
+                        canonical_agent_state(p->counts(), t))
+                  << where;
+            }
+          }
+          ASSERT_NO_FATAL_FAILURE(expect_consistent(*p, where));
+        }
+      }
+    }
   }
 }
 
