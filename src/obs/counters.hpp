@@ -64,7 +64,7 @@ inline constexpr u32 kNumCounters = static_cast<u32>(Counter::kCount);
 
 enum class Sketch : u32 {
   kNullSkipGap,   ///< gap length per closed-form null skip
-  kFenwickDepth,  ///< tree nodes touched per Fenwick update
+  kFenwickDepth,  ///< tree levels written per Fenwick update
   kGroupSize,     ///< group size per hierarchical-sampler touch
   kFaultBurst,    ///< agents moved per churn fault event
   kCount,

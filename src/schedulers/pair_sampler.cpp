@@ -75,17 +75,16 @@ void DirectedEdgeSampler::fire(Protocol& p, u64 directed) {
 
 namespace {
 
-// Running u64 accumulation with a 128-bit shadow; the cap is i64 max, not
-// u64 max, because Fenwick point updates travel as signed deltas
-// (Fenwick::set) and the productive tree must be able to hold any partial
-// sum of kernel weights.
+// Running u64 accumulation with a 128-bit shadow, capped at the Fenwick
+// tree's own bound (i64 max, not u64 max: point updates travel as signed
+// deltas) — the productive tree must be able to hold any partial sum of
+// kernel weights.  Checking here names the kernel in the failure.
 class CheckedSum {
  public:
   void add(u64 v) {
     sum_ += v;
     PP_ASSERT_MSG(
-        sum_ <= static_cast<unsigned __int128>(
-                    std::numeric_limits<i64>::max()),
+        sum_ <= Fenwick::kMaxTotal,
         "kernel weight total overflows the sampler's 63-bit range — "
         "reduce n or the kernel power");
   }

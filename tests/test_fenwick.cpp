@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -10,6 +11,29 @@
 
 namespace pp {
 namespace {
+
+// Sizes around the 8-ary level boundaries: one node, a partial last leaf
+// node, a partial top node, and one past each full level.
+constexpr u64 kShapeSizes[] = {1,  7,   8,   9,   63,  64,
+                               65, 511, 512, 513, 4096, 4097};
+
+// Checks every prefix(i), i <= size, and find(t) for every target t
+// against a linear scan of `weights`.
+void expect_matches_naive(const Fenwick& f, const std::vector<u64>& weights) {
+  const u64 size = weights.size();
+  ASSERT_EQ(f.size(), size);
+  u64 cum = 0;
+  for (u64 i = 0; i <= size; ++i) {
+    ASSERT_EQ(f.prefix(i), cum) << size << ": prefix " << i;
+    if (i == size) break;
+    ASSERT_EQ(f.get(i), weights[i]) << size << ": get " << i;
+    for (u64 t = cum; t < cum + weights[i]; ++t) {
+      ASSERT_EQ(f.find(t), i) << size << ": target " << t;
+    }
+    cum += weights[i];
+  }
+  ASSERT_EQ(f.total(), cum) << size;
+}
 
 TEST(Fenwick, EmptyTreeHasZeroTotal) {
   Fenwick f(10);
@@ -81,9 +105,15 @@ TEST(Fenwick, SizeOneTree) {
 }
 
 TEST(Fenwick, NonPowerOfTwoSizes) {
-  for (const u64 size : {3u, 5u, 7u, 9u, 100u, 1000u}) {
+  std::vector<u64> sizes = {3, 5, 100, 1000};
+  sizes.insert(sizes.end(), std::begin(kShapeSizes), std::end(kShapeSizes));
+  for (const u64 size : sizes) {
     Fenwick f(size);
-    for (u64 i = 0; i < size; ++i) f.set(i, i % 3);
+    std::vector<u64> weights(size);
+    for (u64 i = 0; i < size; ++i) {
+      weights[i] = i % 3;
+      f.set(i, weights[i]);
+    }
     u64 total = 0;
     for (u64 i = 0; i < size; ++i) total += i % 3;
     EXPECT_EQ(f.total(), total) << "size " << size;
@@ -91,6 +121,7 @@ TEST(Fenwick, NonPowerOfTwoSizes) {
       EXPECT_GT(f.get(f.find(total - 1)), 0u);
       EXPECT_EQ(f.find(0), 1u) << "first positive weight is at index 1";
     }
+    expect_matches_naive(f, weights);
   }
 }
 
@@ -100,37 +131,49 @@ TEST(Fenwick, ResetClears) {
   f.reset(6);
   EXPECT_EQ(f.size(), 6u);
   EXPECT_EQ(f.total(), 0u);
+  // A same-size reset keeps the internal levels and must zero them all.
+  for (const u64 size : kShapeSizes) {
+    f.reset(size);
+    for (u64 i = 0; i < size; ++i) f.set(i, i + 1);
+    f.reset(size);
+    std::vector<u64> weights(size, 0);
+    weights[size - 1] = 3;
+    f.set(size - 1, 3);
+    expect_matches_naive(f, weights);
+  }
 }
 
 TEST(Fenwick, RandomizedAgainstNaive) {
   Rng rng(123);
-  Fenwick f(37);
-  std::vector<u64> naive(37, 0);
-  for (int step = 0; step < 2000; ++step) {
-    const u64 i = rng.below(37);
-    const u64 w = rng.below(20);
-    f.set(i, w);
-    naive[i] = w;
-    // Spot-check prefix at a random index.
-    const u64 q = rng.below(38);
-    u64 expect = 0;
-    for (u64 j = 0; j < q; ++j) expect += naive[j];
-    ASSERT_EQ(f.prefix(q), expect);
-  }
-  // Exhaustive find() check against cumulative sums.
-  u64 cum = 0;
-  for (u64 i = 0; i < 37; ++i) {
-    for (u64 t = cum; t < cum + naive[i]; ++t) ASSERT_EQ(f.find(t), i);
-    cum += naive[i];
+  std::vector<u64> sizes = {37};
+  sizes.insert(sizes.end(), std::begin(kShapeSizes), std::end(kShapeSizes));
+  for (const u64 size : sizes) {
+    Fenwick f(size);
+    std::vector<u64> naive(size, 0);
+    for (int step = 0; step < 2000; ++step) {
+      const u64 i = rng.below(size);
+      const u64 w = rng.below(20);
+      f.set(i, w);
+      naive[i] = w;
+      // Spot-check prefix at a random index.
+      const u64 q = rng.below(size + 1);
+      u64 expect = 0;
+      for (u64 j = 0; j < q; ++j) expect += naive[j];
+      ASSERT_EQ(f.prefix(q), expect) << size;
+    }
+    // Exhaustive prefix() and find() check against cumulative sums.
+    expect_matches_naive(f, naive);
   }
 }
 
 TEST(Fenwick, AssignMatchesPointwiseConstruction) {
   // The O(n) bulk builder must be indistinguishable from reset() + set()s
   // across sizes that exercise every tree shape (powers of two, one off,
-  // tiny, empty-suffix).
+  // tiny, empty-suffix, and every 8-ary level boundary).
   Rng rng(88);
-  for (const u64 size : {1ull, 2ull, 7ull, 8ull, 9ull, 64ull, 100ull}) {
+  std::vector<u64> sizes = {2, 100};
+  sizes.insert(sizes.end(), std::begin(kShapeSizes), std::end(kShapeSizes));
+  for (const u64 size : sizes) {
     std::vector<u64> weights(size);
     for (u64 i = 0; i < size; ++i) weights[i] = rng.below(50);
     Fenwick bulk;
@@ -145,14 +188,53 @@ TEST(Fenwick, AssignMatchesPointwiseConstruction) {
     for (u64 t = 0; t < bulk.total(); ++t) {
       ASSERT_EQ(bulk.find(t), pointwise.find(t)) << size << ":" << t;
     }
+    expect_matches_naive(bulk, weights);
     // And it stays a live tree: point updates after a bulk build work.
     if (size >= 2) {
       bulk.add(1, 5);
       pointwise.add(1, 5);
       EXPECT_EQ(bulk.prefix(size), pointwise.prefix(size));
       EXPECT_EQ(bulk.find(bulk.total() - 1), pointwise.find(bulk.total() - 1));
+      weights[1] += 5;
+      expect_matches_naive(bulk, weights);
     }
+    // Re-assigning at the same size reuses the internal levels.
+    std::vector<u64> again(size);
+    for (u64 i = 0; i < size; ++i) again[i] = rng.below(50);
+    bulk.assign(again);
+    expect_matches_naive(bulk, again);
   }
+}
+
+TEST(FenwickDeathTest, WeightsAndTotalStayWithinI64) {
+  const u64 max = Fenwick::kMaxTotal;
+  EXPECT_DEATH(Fenwick(2).set(0, max + 1), "exceeds i64 max");
+  EXPECT_DEATH(
+      {
+        Fenwick f(2);
+        f.set(0, max);
+        f.add(1, 1);
+      },
+      "exceeds i64 max");
+  EXPECT_DEATH(
+      {
+        Fenwick f(2);
+        f.set(0, max);
+        f.set(1, 1);
+      },
+      "exceeds i64 max");
+  EXPECT_DEATH(Fenwick().assign({max, 1}), "exceeds i64 max");
+  EXPECT_DEATH(Fenwick().assign({max + 1}), "exceeds i64 max");
+  // Up to the bound itself everything holds.
+  Fenwick f(9);
+  f.set(0, max - 1);
+  f.set(8, 1);
+  EXPECT_EQ(f.total(), max);
+  EXPECT_EQ(f.find(max - 1), 8u);
+  EXPECT_EQ(f.prefix(8), max - 1);
+  Fenwick bulk;
+  bulk.assign({max - 1, 0, 1});
+  EXPECT_EQ(bulk.total(), max);
 }
 
 TEST(Fenwick, SamplingIsProportional) {

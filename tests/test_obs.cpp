@@ -21,6 +21,7 @@
 
 #include "core/engine.hpp"
 #include "core/initial.hpp"
+#include "ds/fenwick.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
@@ -265,7 +266,14 @@ TEST(ObsWork, AcceleratedRunStaysWithinUpdateBudget) {
     }
     EXPECT_TRUE(r.silent) << p->name();
     EXPECT_GT(r.productive_steps, 0u) << p->name();
-    return std::pair{block.get(Counter::kFenwickUpdates), r.productive_steps};
+    // Every update writes one entry per level of the weight tree.
+    const u64 updates = block.get(Counter::kFenwickUpdates);
+    const u32 levels = Fenwick(p->num_ranks()).levels();
+    EXPECT_EQ(block.sketch_count(Sketch::kFenwickDepth), updates);
+    EXPECT_EQ(block.get(Sketch::kFenwickDepth)[obs::sketch_bucket(levels)],
+              updates)
+        << p->name();
+    return std::pair{updates, r.productive_steps};
   };
   for (const std::string name : {"ag", "ring-of-traps"}) {
     ProtocolPtr p = make_protocol(name, preferred_population(name, 2000));
@@ -285,6 +293,36 @@ TEST(ObsWork, AcceleratedRunStaysWithinUpdateBudget) {
     p->reset(initial::uniform_random(*p, rng));
     const auto [random_updates, random_steps] = run(p, rng);
     EXPECT_LE(random_updates, (name == "ag" ? 2 : 3) * random_steps) << name;
+  }
+#endif
+}
+
+TEST(ObsWork, FenwickDepthIsTheLevelCount) {
+#if !PP_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  // One entry per level: the leaf plus each 8-ary sum level above it.
+  const std::pair<u64, u32> expect[] = {
+      {1, 1}, {8, 1}, {9, 2}, {4096, 4}, {4097, 5}, {1000000, 7},
+  };
+  for (const auto& [size, levels] : expect) {
+    Fenwick f(size);
+    ASSERT_EQ(f.levels(), levels) << size;
+    CounterBlock block;
+    {
+      obs::ScopedCounters scope(&block);
+      f.add(0, 3);
+      f.add(size - 1, 2);
+      f.set(size / 2, 7);
+      f.add(0, -3);
+      f.set(size / 2, f.get(size / 2));  // no change, no update
+    }
+    const u64 updates = block.get(Counter::kFenwickUpdates);
+    EXPECT_EQ(updates, 4u) << size;
+    EXPECT_EQ(block.sketch_count(Sketch::kFenwickDepth), updates) << size;
+    EXPECT_EQ(block.get(Sketch::kFenwickDepth)[obs::sketch_bucket(levels)],
+              updates)
+        << size;
   }
 #endif
 }
