@@ -60,13 +60,6 @@
 // window and the weighted[trap-decay] state-distance kernel, so the
 // dense-only cap they used to carry is gone.
 //
-// A third, "s3-scale-..." section does the same for the count-vector and
-// hybrid engines at n ∈ {10^6, 10^7, 10^8} — the count engine's
-// O(states)-per-event loop makes per-interaction cost independent of n,
-// so these points extend the paper's own uniform model far past what any
-// agent-level representation can hold, with accelerated-uniform as the
-// agent-level reference row at every size the cap admits.
-//
 // The adversarial schedulers are deliberately absent here (O(states^2) per
 // step makes them a small-n tool); bench_adversarial drives them through
 // the same runner path and BENCH record format.
@@ -191,32 +184,6 @@ int run(const Context& ctx) {
           return menu;
         });
   }
-
-  // ---- s3 scale section: the count/hybrid engines at 10^6 .. 10^8 --------
-  // Where the agent-level samplers top out (the s1 scale section is O(n)
-  // memory and O(1)-per-event but still walks every agent), the
-  // count-vector engine is O(states) per event with n only in the null
-  // budget — so these points push the paper's model itself two to three
-  // orders of magnitude further.  accelerated-uniform rides along as the
-  // agent-level reference at every size the cap admits; count and hybrid
-  // must track its throughput shape while staying bit-identical in
-  // trajectory (tests/test_count_engine.cpp).  Budget-capped throughput
-  // points like s1-scale (AG stabilisation at n = 10^8 needs ~10^16
-  // interactions); CI runs Release with --max-n=10^7, the 10^8 point is
-  // for full local runs.
-  run_scale_section(
-      ctx, "S3 scale — count-vector engine throughput", "s3-scale-ag-", "ag",
-      capped_sizes(ctx, {1000000, 10000000, 100000000}), [](u64) {
-        std::vector<SchedulerSpec> menu;
-        SchedulerSpec s;
-        s.kind = SchedulerKind::kAcceleratedUniform;  // agent-level reference
-        menu.push_back(s);
-        s.kind = SchedulerKind::kCountGillespie;
-        menu.push_back(s);
-        s.kind = SchedulerKind::kHybrid;
-        menu.push_back(s);
-        return menu;
-      });
 
   std::printf(
       "model notes: parallel time is interactions/n except random-matching "

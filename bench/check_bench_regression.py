@@ -3,15 +3,14 @@
 
 Compares the current run's machine-readable bench records against the
 committed baselines in bench/baselines/ and fails (exit 1) when any
-matched measurement point regressed:
+matched measurement point differs:
 
-  * mean parallel stabilisation time grew by more than --factor (default
-    2x).  The runner's per-trial seed streams make this number
-    *deterministic* for a fixed (seed, trials) — identical across thread
-    counts, build types and machines — so a trip is a semantic change in
-    the simulation, never scheduling noise;
-  * a point that used to stabilise within its budget now strands every
-    trial (timeouts == trials where the baseline had headroom);
+  * mean parallel stabilisation time, timeouts and invalid count are
+    compared by equality.  The runner's per-trial seed streams make these
+    numbers *deterministic* for a fixed (seed, trials) — identical across
+    thread counts, build types and machines — so any mismatch, up or
+    down, is a semantic change in the simulation, never scheduling noise.
+    --factor only labels how large a mean mismatch is;
   * optionally, trials/s fell by more than --throughput-factor.  Off by
     default: wall-clock throughput is machine-dependent, so it only means
     something when baseline and current ran on comparable hardware.
@@ -37,12 +36,14 @@ Usage:
   --bench-dir          where the current BENCH_*.json files live
   --baseline-dir       committed baselines (default: bench/baselines next
                        to this script)
-  --factor             mean-parallel-time regression factor (default 2.0)
+  --factor             a mean mismatch beyond this ratio either way is
+                       labelled "beyond <factor>x" (default 2.0); every
+                       mismatch fails regardless
   --throughput-factor  trials/s regression factor; 0 disables (default 0)
   --update-baseline    rewrite the baselines from the current records
                        (normalised: stable fields only, sorted), then exit
 
-Refreshing baselines after an intentional perf/semantics change (the
+Refreshing baselines after an intentional semantics change (the
 invocations must match CI's Release leg — trials is part of the match
 key, and a baseline generated under a smaller cap would instantly trip
 the missing-point check there):
@@ -108,6 +109,17 @@ def fmt_key(key):
     return f"{point} (n={n}, param={param:g}, trials={trials})"
 
 
+def ratio_label(base, cur, factor):
+    """Size of a mean mismatch: "1.9x, +90%", or "10x, +900%, beyond 2x"."""
+    if base == 0:
+        return "baseline 0"
+    ratio = cur / base
+    label = f"{ratio:.3g}x, {100 * (ratio - 1):+.3g}%"
+    if ratio > factor or ratio * factor < 1:
+        label += f", beyond {factor:g}x"
+    return label
+
+
 def compare(name, base_points, cur_points, factor, throughput_factor,
             cur_max_n=0):
     """Returns (failures, notes) for one experiment's record pair.
@@ -127,23 +139,17 @@ def compare(name, base_points, cur_points, factor, throughput_factor,
             continue
         matched += 1
         bt, ct = base["mean_parallel_time"], cur["mean_parallel_time"]
-        if bt > 0 and ct > factor * bt:
+        if ct != bt:
             failures.append(
-                f"  {fmt_key(key)}: mean parallel time {ct:g} vs baseline "
-                f"{bt:g} (> {factor:g}x)"
+                f"  {fmt_key(key)}: mean parallel time {ct!r} vs baseline "
+                f"{bt!r} ({ratio_label(bt, ct, factor)})"
             )
-        elif bt > 0 and ct * factor < bt:
-            notes.append(
-                f"  improvement (> {factor:g}x): {fmt_key(key)} "
-                f"{bt:g} -> {ct:g} — consider --update-baseline"
-            )
-        if (cur["timeouts"] == cur["trials"]
-                and base["timeouts"] < base["trials"]):
-            failures.append(
-                f"  {fmt_key(key)}: every trial now strands "
-                f"({cur['timeouts']}/{cur['trials']}; baseline "
-                f"{base['timeouts']}/{base['trials']})"
-            )
+        for field in ("timeouts", "invalid"):
+            if cur[field] != base[field]:
+                failures.append(
+                    f"  {fmt_key(key)}: {field} {cur[field]} vs baseline "
+                    f"{base[field]}"
+                )
         if throughput_factor > 0:
             btp = base.get("trials_per_sec") or 0
             ctp = cur.get("trials_per_sec") or 0

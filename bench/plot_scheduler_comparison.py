@@ -33,7 +33,7 @@ BENCH_FILE = "BENCH_s1-protocols-under-alternative-schedulers.json"
 # contain hyphens (tree-ranking, accelerated-uniform); the scheduler half
 # always starts with a registered kind name, so anchor the split there.
 SCHED_ALT = (
-    r"accelerated-uniform$|uniform$|random-matching$|count$|hybrid$|"
+    r"accelerated-uniform$|uniform$|random-matching$|"
     r"(?:weighted|dynamic|graph-restricted|churn|partition|adversarial)\[.*"
 )
 POINT_RE = re.compile(r"^s1-(.+?)-(" + SCHED_ALT + r")$")
@@ -42,10 +42,9 @@ POINT_RE = re.compile(r"^s1-(.+?)-(" + SCHED_ALT + r")$")
 # (hierarchical samplers, 10^4..10^5 — ag plus the extra-state protocols
 # line-of-traps/tree-ranking, whose weighted[ring-decay]/
 # weighted[trap-decay]/dynamic rows ride the same fast path since the
-# dense-only cap was retired) and "s3-scale-<protocol>-..." (count/hybrid
-# engines, 10^6..10^8).  They never stabilise by design, so they feed
-# their own throughput panel instead of the stabilisation panels.
-SCALE_RE = re.compile(r"^s[13]-scale-(.+?)-(" + SCHED_ALT + r")$")
+# dense-only cap was retired).  They never stabilise by design, so they
+# feed their own throughput panel instead of the stabilisation panels.
+SCALE_RE = re.compile(r"^s1-scale-(.+?)-(" + SCHED_ALT + r")$")
 
 # Categorical slot 1 (blue) for the measured bars, the reserved "serious"
 # status red for models that never stabilised, and text/grid inks — the

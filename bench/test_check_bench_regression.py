@@ -9,6 +9,8 @@ be *printed* but never *failed* — a renamed label or dropped sweep size
 silently shrank the gate's coverage.  Now it fails with a "missing
 point" diagnostic unless the point sits above the current run's
 recorded --max-n cap (that subset was legitimately never attempted).
+Matched points are pinned by equality: a mean that moves either way, by
+any factor, or a changed timeouts count fails.
 
 Stdlib-only, like the gate itself; registered under `ctest -L lint`.
 """
@@ -24,18 +26,22 @@ GATE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 
 def write_bench(dir_, name, points, max_n=0):
-    """Writes a minimal BENCH_<name>.json: run header + point records."""
+    """Writes a minimal BENCH_<name>.json: run header + point records.
+
+    Each point is (label, n, mean) or (label, n, mean, timeouts).
+    """
     path = os.path.join(dir_, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({"kind": "run", "experiment": name,
                             "run_id": 1, "seed": 42, "threads": 1,
                             "max_n": max_n, "size": "quick"}) + "\n")
-        for (label, n, mean) in points:
+        for (label, n, mean, *timeouts) in points:
             f.write(json.dumps({
                 "kind": "point", "run_id": 1, "point": label, "n": n,
                 "param": 0, "trials": 3, "wall_seconds": 0.1,
                 "trials_per_sec": 30.0, "mean_parallel_time": mean,
-                "timeouts": 0, "invalid": 0}) + "\n")
+                "timeouts": timeouts[0] if timeouts else 0,
+                "invalid": 0}) + "\n")
     return path
 
 
@@ -101,14 +107,32 @@ def main():
         code, out = run_gate(cur_dir, base_dir)
         expect(code == 0, "new point without a baseline passes", out)
 
-        # The original gate still works: an injected mean-time blowup
-        # (> --factor) trips a regression failure.
-        blown = [(l, n, m * 10 if l == "s1-a" and n == 100 else m)
-                 for (l, n, m) in full]
-        write_bench(cur_dir, "t", blown)
+        # Means are pinned by equality: a move by any factor, up or
+        # down, fails, and --factor only labels its size.
+        for scale, label in ((10, "10x"), (1.5, "1.5x"), (0.5, "0.5x")):
+            moved = [(l, n, m * scale if l == "s1-a" and n == 100 else m)
+                     for (l, n, m) in full]
+            write_bench(cur_dir, "t", moved)
+            code, out = run_gate(cur_dir, base_dir)
+            expect(code == 1 and "mean parallel time" in out
+                   and f"({label}" in out,
+                   f"a {label} mean fails the gate, labelled {label}", out)
+            expect(("beyond 2x" in out) == (scale == 10),
+                   f"a {label} mean is labelled beyond --factor iff it is",
+                   out)
+
+        # A changed timeouts count fails even when the mean is unchanged.
+        write_bench(cur_dir, "t",
+                    [(l, n, m, 1 if l == "s1-b" else 0)
+                     for (l, n, m) in full])
         code, out = run_gate(cur_dir, base_dir)
-        expect(code == 1 and "mean parallel time" in out,
-               "injected 10x mean-time regression still fails", out)
+        expect(code == 1 and "timeouts 1 vs baseline 0" in out,
+               "a changed timeouts count fails the gate", out)
+
+        # Identical records still pass after the failures above.
+        write_bench(cur_dir, "t", full)
+        code, out = run_gate(cur_dir, base_dir)
+        expect(code == 0, "identical records pass again", out)
 
     print("check_bench_regression self-test: OK")
 

@@ -23,9 +23,6 @@ class AgProtocol final : public Protocol {
   std::string_view name() const override { return "ag"; }
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
-  /// The single rule family is diagonal (i,i) -> (i, i+1 mod n) on rank
-  /// states only — AG's dynamics are a pure function of the count vector.
-  bool is_count_determined() const override { return true; }
 };
 
 }  // namespace pp

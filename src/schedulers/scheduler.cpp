@@ -27,10 +27,6 @@ const char* scheduler_kind_name(SchedulerKind k) {
       return "uniform";
     case SchedulerKind::kAcceleratedUniform:
       return "accelerated-uniform";
-    case SchedulerKind::kCountGillespie:
-      return "count";
-    case SchedulerKind::kHybrid:
-      return "hybrid";
     case SchedulerKind::kRandomMatching:
       return "random-matching";
     case SchedulerKind::kGraphRestricted:
@@ -51,7 +47,6 @@ const char* scheduler_kind_name(SchedulerKind k) {
 
 std::vector<SchedulerKind> scheduler_kinds() {
   return {SchedulerKind::kAcceleratedUniform, SchedulerKind::kUniform,
-          SchedulerKind::kCountGillespie,     SchedulerKind::kHybrid,
           SchedulerKind::kRandomMatching,     SchedulerKind::kGraphRestricted,
           SchedulerKind::kWeighted,           SchedulerKind::kDynamicGraph,
           SchedulerKind::kAdversarial,        SchedulerKind::kChurn,
@@ -120,9 +115,6 @@ std::vector<SchedulerSpec> standard_scheduler_menu() {
   menu.push_back(s);
   s.kind = SchedulerKind::kUniform;
   menu.push_back(s);
-  // The multiscale driver, right after the exact engines it must match.
-  s.kind = SchedulerKind::kHybrid;
-  menu.push_back(s);
   s.kind = SchedulerKind::kRandomMatching;
   menu.push_back(s);
   s.kind = SchedulerKind::kWeighted;
@@ -158,12 +150,6 @@ std::vector<SchedulerSpec> standard_scheduler_menu() {
 std::vector<SchedulerSpec> all_scheduler_specs() {
   std::vector<SchedulerSpec> specs = standard_scheduler_menu();
   SchedulerSpec s;
-  // The pure count-vector engine (the hybrid's bulk phase is already in
-  // the menu): conformance must pin its contract — and its fallback path —
-  // on every protocol, count-determined or not.
-  s.kind = SchedulerKind::kCountGillespie;
-  specs.push_back(s);
-  s = SchedulerSpec{};
   s.kind = SchedulerKind::kAdversarial;
   for (const AdversaryPolicy policy : adversary_policies()) {
     s.adversary = policy;
@@ -308,10 +294,6 @@ SchedulerPtr make_scheduler(const SchedulerSpec& spec, u64 n) {
       return std::make_unique<UniformScheduler>();
     case SchedulerKind::kAcceleratedUniform:
       return std::make_unique<AcceleratedUniformScheduler>();
-    case SchedulerKind::kCountGillespie:
-      return std::make_unique<CountScheduler>();
-    case SchedulerKind::kHybrid:
-      return std::make_unique<HybridScheduler>();
     case SchedulerKind::kRandomMatching:
       return std::make_unique<RandomMatchingScheduler>();
     case SchedulerKind::kGraphRestricted: {

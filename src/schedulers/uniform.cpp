@@ -1,8 +1,5 @@
 #include "schedulers/uniform.hpp"
 
-#include "core/count_engine.hpp"
-#include "core/hybrid_engine.hpp"
-
 namespace pp {
 namespace {
 
@@ -25,20 +22,6 @@ RunResult UniformScheduler::run(Protocol& p, Rng& rng,
 RunResult AcceleratedUniformScheduler::run(Protocol& p, Rng& rng,
                                            const RunOptions& opt) const {
   return run_accelerated(p, rng, strip_scheduler(opt));
-}
-
-RunResult CountScheduler::run(Protocol& p, Rng& rng,
-                              const RunOptions& opt) const {
-  if (!p.is_count_determined()) {
-    return run_accelerated(p, rng, strip_scheduler(opt));
-  }
-  return run_count(p, rng, strip_scheduler(opt));
-}
-
-RunResult HybridScheduler::run(Protocol& p, Rng& rng,
-                               const RunOptions& opt) const {
-  // run_hybrid does its own capability fallback.
-  return run_hybrid(p, rng, strip_scheduler(opt));
 }
 
 }  // namespace pp

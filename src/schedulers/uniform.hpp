@@ -1,18 +1,10 @@
 // The paper's uniform random scheduler behind the Scheduler interface.
 //
-// All four classes delegate verbatim to the engines in src/core, so a run
+// Both classes delegate verbatim to the engines in src/core, so a run
 // through the interface consumes the generator identically to a direct
-// run_uniform()/run_accelerated()/run_count()/run_hybrid() call —
-// trajectories are bit-identical seed-for-seed, which
-// tests/test_scheduler.cpp pins with hard-coded regression values.
-//
-// The count and hybrid rows simulate the *same* uniform random scheduler,
-// just with different machinery: count on the state-count vector alone
-// (core/count_engine.hpp), hybrid with count bulk plus an agent-level
-// end-game tail (core/hybrid_engine.hpp).  Protocols without the
-// count-determined capability (line/tree extra-state machinery) fall back
-// to the plain accelerated engine, so both rows stay total over the
-// conformance roster.
+// run_uniform()/run_accelerated() call — trajectories are bit-identical
+// seed-for-seed, which tests/test_scheduler.cpp pins with hard-coded
+// regression values.
 #pragma once
 
 #include <string_view>
@@ -31,20 +23,6 @@ class UniformScheduler final : public Scheduler {
 class AcceleratedUniformScheduler final : public Scheduler {
  public:
   std::string_view name() const override { return "accelerated-uniform"; }
-  RunResult run(Protocol& p, Rng& rng,
-                const RunOptions& opt = {}) const override;
-};
-
-class CountScheduler final : public Scheduler {
- public:
-  std::string_view name() const override { return "count"; }
-  RunResult run(Protocol& p, Rng& rng,
-                const RunOptions& opt = {}) const override;
-};
-
-class HybridScheduler final : public Scheduler {
- public:
-  std::string_view name() const override { return "hybrid"; }
   RunResult run(Protocol& p, Rng& rng,
                 const RunOptions& opt = {}) const override;
 };

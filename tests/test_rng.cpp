@@ -193,7 +193,7 @@ TEST(Rng, BinomialMomentsMatchTheory) {
 }
 
 TEST(Rng, BinomialMatchesNaiveBernoulliAtExtremeParameters) {
-  // The count engine's null-folding leans on binomial() far outside the
+  // The dynamic-graph edge flips lean on binomial() far outside the
   // comfortable m*p regime, so fuzz the geometric-jump sampler against the
   // definitional reference — m independent Bernoulli(p) trials — exactly
   // at the extremes: degenerate p, denormal-adjacent p, the p > 1/2

@@ -9,10 +9,11 @@ needed), run under `ctest -L lint`:
       prefix) is documented in docs/RUNBOOK.md.  A knob someone added
       without a runbook row fails the gate.
 
-  D2  Every scheduler name returned by scheduler_kind_name()
-      (src/schedulers/scheduler.cpp) appears in the README's scheduler
-      matrix (a table row mentioning the name in backticks).  A
-      scheduler added to the enum without a matrix row fails the gate.
+  D2  The README's scheduler matrix and scheduler_kind_name()
+      (src/schedulers/scheduler.cpp) name the same schedulers, both
+      ways.  Each matrix row opens with a backticked name, compared up
+      to any `[`: a scheduler added to the enum without a row fails the
+      gate, and so does a row left behind for a deleted scheduler.
 
   D3  README.md links both docs/ARCHITECTURE.md and docs/RUNBOOK.md, so
       the documents stay discoverable from the front page.
@@ -27,6 +28,9 @@ from pathlib import Path
 TOKEN_RE = re.compile(r"POPRANK_[A-Z0-9_]+")
 # `return "uniform";` lines inside scheduler_kind_name().
 KIND_NAME_RE = re.compile(r'return "([a-z0-9-]+)";')
+# The backticked name opening a matrix row, up to any `[`.
+ROW_NAME_RE = re.compile(r"\| `([^`\[]+)")
+MATRIX_HEADER = "| Scheduler |"
 
 
 def collect_tokens(root: Path) -> set:
@@ -53,6 +57,22 @@ def scheduler_names(root: Path) -> list:
     return [n for n in names if n != "?"]
 
 
+def matrix_row_names(readme: str) -> list:
+    """Row names of the README table headed MATRIX_HEADER."""
+    lines = readme.splitlines()
+    start = next((i for i, line in enumerate(lines)
+                  if line.startswith(MATRIX_HEADER)), len(lines))
+    names = []
+    # Skip the header and its |---| separator; the table ends at the
+    # first line that is not a table row.
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        m = ROW_NAME_RE.match(line)
+        names.append(m.group(1) if m else line)
+    return names
+
+
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(
         __file__).resolve().parents[2]
@@ -69,13 +89,17 @@ def main() -> int:
                 "documented in docs/RUNBOOK.md")
 
     readme = (root / "README.md").read_text()
-    matrix_rows = "\n".join(
-        line for line in readme.splitlines() if line.startswith("| `"))
-    for name in scheduler_names(root):
-        if f"`{name}`" not in matrix_rows and f"`{name}[" not in matrix_rows:
+    rows = matrix_row_names(readme)
+    kinds = scheduler_names(root)
+    for name in kinds:
+        if name not in rows:
             problems.append(
                 f"D2: scheduler '{name}' (scheduler_kind_name) has no row "
                 "in the README scheduler matrix")
+    for name in sorted(set(rows) - set(kinds)):
+        problems.append(
+            f"D2: README scheduler matrix row '{name}' names no "
+            "scheduler_kind_name() value")
 
     for doc in ("docs/ARCHITECTURE.md", "docs/RUNBOOK.md"):
         if doc not in readme:
