@@ -13,10 +13,9 @@
 #include <string>
 
 #include "analysis/exact.hpp"
-#include "core/engine.hpp"
 #include "core/initial.hpp"
 #include "protocols/factory.hpp"
-#include "rng/seed_sequence.hpp"
+#include "runner/runner.hpp"
 
 int main(int argc, char** argv) {
   const pp::u64 n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 6;
@@ -39,12 +38,19 @@ int main(int argc, char** argv) {
     const pp::Configuration start = pp::initial::all_in_state(*p, 0);
     const pp::ExactAnalysis exact = pp::analyze_exact(*p, start);
 
+    pp::TrialSpec spec;
+    spec.protocol = name;
+    spec.n = n;
+    spec.init = pp::gen_all_in_state(0);
+    spec.label = name;
+    pp::RunnerOptions opt;
+    opt.trials = trials;
+    opt.master_seed = 99;
+    const pp::TrialSet set = pp::run_trials(spec, opt);
+    // A plain sum in trial order (RunningStat's streaming mean rounds
+    // differently in the last digits).
     double sum = 0;
-    for (pp::u64 t = 0; t < trials; ++t) {
-      pp::Rng rng(pp::derive_seed(99, name, t));
-      p->reset(start);
-      sum += pp::run_accelerated(*p, rng).parallel_time;
-    }
+    for (const pp::TrialRecord& r : set.records) sum += r.parallel_time;
     const double sim = sum / static_cast<double>(trials);
     std::printf("%-16s %14llu %10llu %8s %14.4f %14.4f %8.4f\n",
                 std::string(name).c_str(),

@@ -9,12 +9,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
-#include "analysis/stats.hpp"
-#include "core/engine.hpp"
-#include "core/initial.hpp"
-#include "protocols/ring_of_traps.hpp"
-#include "rng/seed_sequence.hpp"
+#include "runner/runner.hpp"
 
 int main(int argc, char** argv) {
   const pp::u64 n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2256;
@@ -30,19 +27,21 @@ int main(int argc, char** argv) {
 
   const double n15 = std::pow(static_cast<double>(n), 1.5);
   for (pp::u64 k = 1; k <= n / 8; k *= 2) {
-    std::vector<double> times;
-    for (pp::u64 t = 0; t < trials; ++t) {
-      pp::Rng rng(pp::derive_seed(1234, "k-distant-recovery", k * 1000 + t));
-      pp::RingOfTrapsProtocol protocol(n);
-      protocol.reset(pp::initial::k_distant(protocol, k, rng));
-      const pp::RunResult r = pp::run_accelerated(protocol, rng);
-      if (!r.valid) {
-        std::fprintf(stderr, "unexpected invalid outcome!\n");
-        return 1;
-      }
-      times.push_back(r.parallel_time);
+    // One label per damage level: every k draws its own trial streams.
+    pp::TrialSpec spec;
+    spec.protocol = "ring-of-traps";
+    spec.n = n;
+    spec.init = pp::gen_k_distant(k);
+    spec.label = "k-distant-recovery-k" + std::to_string(k);
+    pp::RunnerOptions opt;
+    opt.trials = trials;
+    opt.master_seed = 1234;
+    const pp::TrialSet set = pp::run_trials(spec, opt);
+    if (set.stats.invalid + set.stats.timeouts > 0) {
+      std::fprintf(stderr, "unexpected invalid outcome!\n");
+      return 1;
     }
-    const pp::Summary s = pp::summarize(times);
+    const pp::Summary s = set.summary();
     std::printf("%8llu %14.1f %14.1f %16.4f\n",
                 static_cast<unsigned long long>(k), s.mean, s.max,
                 s.mean / (static_cast<double>(k) * n15));

@@ -14,15 +14,16 @@
 //   --budget=B        max interactions per run (default unlimited)
 //   --timeline        print the convergence timeline of the first trial
 //   --list            list protocols and exit
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
-#include "analysis/experiment.hpp"
 #include "analysis/timeline.hpp"
 #include "core/initial.hpp"
 #include "protocols/factory.hpp"
+#include "runner/runner.hpp"
 
 namespace {
 
@@ -68,26 +69,38 @@ bool parse(int argc, char** argv, Args& a) {
   return true;
 }
 
-pp::ConfigGenerator make_generator(const std::string& spec, bool& ok) {
-  ok = true;
+// Builds the --start generator for protocol `p`.  A spec the protocol
+// cannot start from gets an empty generator and a one-line `error`, so the
+// CLI rejects it here instead of aborting inside a trial.
+pp::ConfigGenerator make_generator(const std::string& spec,
+                                   const pp::Protocol& p, std::string& error) {
   if (spec == "uniform") return pp::gen_uniform_random();
   if (spec == "uniform-ranks") return pp::gen_uniform_random_ranks();
   if (spec == "valid") {
-    return [](const pp::Protocol& p, pp::Rng&) {
-      return pp::initial::valid_ranking(p);
+    return [](const pp::Protocol& q, pp::Rng&) {
+      return pp::initial::valid_ranking(q);
     };
   }
   if (spec.rfind("all-in:", 0) == 0) {
-    const pp::StateId s = static_cast<pp::StateId>(
-        std::strtoull(spec.c_str() + 7, nullptr, 10));
-    return pp::gen_all_in_state(s);
+    const pp::u64 s = std::strtoull(spec.c_str() + 7, nullptr, 10);
+    if (s >= p.num_states()) {
+      error = "--start=" + spec + ": state must be below " +
+              std::to_string(p.num_states()) + " (the protocol's states)";
+      return {};
+    }
+    return pp::gen_all_in_state(static_cast<pp::StateId>(s));
   }
   if (spec.rfind("k-distant:", 0) == 0) {
     const pp::u64 k = std::strtoull(spec.c_str() + 10, nullptr, 10);
+    if (k >= p.num_ranks()) {
+      error = "--start=" + spec + ": k must be below " +
+              std::to_string(p.num_ranks()) + " (the protocol's ranks)";
+      return {};
+    }
     return pp::gen_k_distant(k);
   }
-  ok = false;
-  return pp::gen_uniform_random();
+  error = "unknown --start=" + spec;
+  return {};
 }
 
 }  // namespace
@@ -107,13 +120,24 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  bool gen_ok = false;
-  const pp::ConfigGenerator gen = make_generator(args.start, gen_ok);
-  if (!gen_ok) {
-    std::fprintf(stderr, "unknown --start=%s\n", args.start.c_str());
+  if (args.trials == 0) {
+    std::fprintf(stderr, "--trials must be at least 1\n");
+    return 2;
+  }
+  const auto names = pp::protocol_names();
+  if (std::find(names.begin(), names.end(), args.protocol) == names.end()) {
+    std::fprintf(stderr, "unknown --protocol=%s (see --list)\n",
+                 args.protocol.c_str());
     return 2;
   }
   const pp::u64 n = pp::preferred_population(args.protocol, args.n);
+  const pp::ProtocolPtr protocol = pp::make_protocol(args.protocol, n);
+  std::string error;
+  const pp::ConfigGenerator gen = make_generator(args.start, *protocol, error);
+  if (!gen) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
+  }
 
   std::printf("protocol %s | n = %llu | start %s | %llu trials | seed %llu\n",
               args.protocol.c_str(), static_cast<unsigned long long>(n),
@@ -123,37 +147,38 @@ int main(int argc, char** argv) {
 
   if (args.timeline) {
     pp::Rng rng(pp::derive_seed(args.seed, "cli-timeline"));
-    pp::ProtocolPtr p = pp::make_protocol(args.protocol, n);
-    p->reset(gen(*p, rng));
+    protocol->reset(gen(*protocol, rng));
     pp::Timeline tl;
     pp::RunOptions opt;
     opt.max_interactions = args.budget;
     opt.on_change = tl.observer();
-    const pp::RunResult r = pp::run_accelerated(*p, rng, opt);
-    tl.finish(*p, r);
+    const pp::RunResult r = pp::run_accelerated(*protocol, rng, opt);
+    tl.finish(*protocol, r);
     pp::Table table = tl.to_table("convergence timeline (trial 0)");
     std::fputs(table.to_string().c_str(), stdout);
     std::printf("\n");
   }
 
-  pp::MeasureOptions opt;
+  pp::TrialSpec spec;
+  spec.protocol = args.protocol;
+  spec.n = n;
+  spec.init = gen;
+  spec.max_interactions = args.budget;
+  spec.label = "cli-" + args.protocol + "-" + args.start;
+  pp::RunnerOptions opt;
   opt.trials = args.trials;
-  opt.root_seed = args.seed;
-  opt.label = "cli-" + args.protocol + "-" + args.start;
-  opt.max_interactions = args.budget;
-  const std::string proto = args.protocol;
-  const pp::Measurement m = pp::measure(
-      [proto, n] { return pp::make_protocol(proto, n); }, gen, opt);
-  const pp::Summary s = m.summary();
+  opt.master_seed = args.seed;
+  const pp::TrialSet set = pp::run_trials(spec, opt);
+  const pp::Summary s = set.summary();
   std::printf("parallel time: %s\n", s.to_string().c_str());
-  if (m.timeouts > 0) {
+  if (set.stats.timeouts > 0) {
     std::printf("timeouts     : %llu of %llu trials hit the budget\n",
-                static_cast<unsigned long long>(m.timeouts),
+                static_cast<unsigned long long>(set.stats.timeouts),
                 static_cast<unsigned long long>(args.trials));
   }
-  if (m.invalid > 0) {
+  if (set.stats.invalid > 0) {
     std::printf("INVALID      : %llu trials (this is a bug)\n",
-                static_cast<unsigned long long>(m.invalid));
+                static_cast<unsigned long long>(set.stats.invalid));
     return 1;
   }
   return 0;

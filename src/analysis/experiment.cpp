@@ -1,32 +1,8 @@
 #include "analysis/experiment.hpp"
 
-#include "common/assert.hpp"
 #include "core/initial.hpp"
 
 namespace pp {
-
-Measurement measure(const ProtocolFactory& make_protocol,
-                    const ConfigGenerator& make_config,
-                    const MeasureOptions& opt) {
-  PP_ASSERT(opt.trials >= 1);
-  Measurement out;
-  out.parallel_times.reserve(opt.trials);
-  for (u64 t = 0; t < opt.trials; ++t) {
-    Rng rng(derive_seed(opt.root_seed, opt.label, t));
-    ProtocolPtr p = make_protocol();
-    p->reset(make_config(*p, rng));
-    RunOptions ro;
-    ro.max_interactions = opt.max_interactions;
-    const RunResult r = run_accelerated(*p, rng, ro);
-    out.parallel_times.push_back(r.parallel_time);
-    if (!r.silent) {
-      ++out.timeouts;
-    } else if (!r.valid) {
-      ++out.invalid;
-    }
-  }
-  return out;
-}
 
 Configuration UniformRandomGen::operator()(const Protocol& p,
                                            Rng& rng) const {

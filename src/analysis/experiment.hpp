@@ -1,50 +1,21 @@
-// The experiment sweep runner: repeated stabilisation measurements with
-// disciplined seeding.
+// Building blocks of a measurement point: the protocol factory and the
+// initial-configuration generator a TrialSpec (runner/runner.hpp) carries.
 //
-// A measurement point is (protocol factory, initial-configuration
-// generator, number of trials).  Each trial t derives its own seed from
-// (root seed, label, t), builds a fresh protocol instance, generates a
-// starting configuration, and runs the accelerated engine to silence (or
-// budget).  Results are parallel times (interactions / n) plus bookkeeping
-// about timeouts/invalid outcomes (which, for a correct implementation,
-// never happen — the harness still reports them rather than trusting).
+// run_trials() calls the factory once per trial for a fresh protocol
+// instance and hands the generator that trial's Rng, seeded with
+// derive_seed(master seed, label, trial), to draw the starting
+// configuration.  The gen_* helpers wrap core/initial.hpp.
 #pragma once
 
 #include <functional>
-#include <string>
-#include <vector>
 
-#include "analysis/stats.hpp"
-#include "core/engine.hpp"
 #include "core/protocol.hpp"
-#include "rng/seed_sequence.hpp"
+#include "rng/random.hpp"
 
 namespace pp {
 
 using ProtocolFactory = std::function<ProtocolPtr()>;
 using ConfigGenerator = std::function<Configuration(const Protocol&, Rng&)>;
-
-struct MeasureOptions {
-  u64 trials = 10;
-  u64 root_seed = kDefaultRootSeed;
-  std::string label;  ///< seed-derivation namespace; set it per experiment
-  u64 max_interactions = ~static_cast<u64>(0);
-};
-
-struct Measurement {
-  std::vector<double> parallel_times;  ///< one per completed trial
-  u64 timeouts = 0;  ///< trials that exhausted max_interactions
-  u64 invalid = 0;   ///< trials that went silent in a non-ranking (never
-                     ///< expected; reported, not assumed away)
-  Summary summary() const { return summarize(parallel_times); }
-};
-
-/// Runs `opt.trials` stabilisation trials; timed-out trials contribute
-/// their (censored) budget time to parallel_times and are counted in
-/// `timeouts`.
-Measurement measure(const ProtocolFactory& make_protocol,
-                    const ConfigGenerator& make_config,
-                    const MeasureOptions& opt);
 
 /// The generator behind gen_uniform_random(), as a *named* functor: the
 /// provenance layer (obs/provenance.hpp) recognises it through

@@ -9,12 +9,11 @@
 // plus merged aggregates.
 //
 // Determinism guarantee.  Trial t's generator is seeded with
-// derive_seed(master_seed, label, t) — exactly the derivation the legacy
-// serial harness (analysis/experiment.cpp) uses — and each trial writes
-// only to its own slot of a preallocated record array.  Aggregates are
-// folded from that array in trial-index order after the fan-out completes.
-// Results are therefore bit-identical for every thread count and schedule,
-// and identical to a serial run with the same master seed.
+// derive_seed(master_seed, label, t), and each trial writes only to its
+// own slot of a preallocated record array.  Aggregates are folded from
+// that array in trial-index order after the fan-out completes.  Results
+// are therefore bit-identical for every thread count and schedule, and
+// identical to a serial run with the same master seed.
 #pragma once
 
 #include <functional>

@@ -1,105 +1,74 @@
-// Integration tests: the experiment harness end-to-end (factories,
-// generators, seeding discipline, censoring) and cross-protocol
-// comparisons that the benches rely on.
+// Integration tests: the trial harness end-to-end with the experiment
+// building blocks (registry protocols, start generators, seed labels) and
+// cross-protocol comparisons that the benches rely on.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
 
 #include "analysis/experiment.hpp"
 #include "analysis/fit.hpp"
-#include "core/initial.hpp"
-#include "protocols/factory.hpp"
+#include "runner/runner.hpp"
 
 namespace pp {
 namespace {
 
-TEST(Experiment, MeasureRunsRequestedTrials) {
-  MeasureOptions opt;
-  opt.trials = 4;
-  opt.label = "integration-measure";
-  const Measurement m = measure(
-      [] { return make_protocol("ag", 24); }, gen_uniform_random(), opt);
-  EXPECT_EQ(m.parallel_times.size(), 4u);
-  EXPECT_EQ(m.timeouts, 0u);
-  EXPECT_EQ(m.invalid, 0u);
-  for (const double t : m.parallel_times) EXPECT_GT(t, 0.0);
+// `trials` accelerated trials of `protocol` at size n from `init`, under
+// the default master seed.
+TrialSet run(const std::string& protocol, u64 n, ConfigGenerator init,
+             const std::string& label, u64 trials) {
+  TrialSpec spec;
+  spec.protocol = protocol;
+  spec.n = n;
+  spec.init = std::move(init);
+  spec.label = label;
+  RunnerOptions opt;
+  opt.trials = trials;
+  return run_trials(spec, opt);
 }
 
-TEST(Experiment, MeasureIsReproducibleForSameSeed) {
-  MeasureOptions opt;
-  opt.trials = 3;
-  opt.label = "integration-repro";
-  opt.root_seed = 42;
-  const auto run = [&] {
-    return measure([] { return make_protocol("ring-of-traps", 30); },
-                   gen_uniform_random(), opt)
-        .parallel_times;
-  };
-  EXPECT_EQ(run(), run());
+TEST(Experiment, RunsRequestedTrials) {
+  const TrialSet set =
+      run("ag", 24, gen_uniform_random(), "integration-measure", 4);
+  EXPECT_EQ(set.records.size(), 4u);
+  EXPECT_EQ(set.stats.timeouts, 0u);
+  EXPECT_EQ(set.stats.invalid, 0u);
+  for (const double t : set.parallel_times()) EXPECT_GT(t, 0.0);
 }
 
 TEST(Experiment, DifferentLabelsGiveDifferentStreams) {
-  MeasureOptions a;
-  a.trials = 3;
-  a.label = "stream-a";
-  MeasureOptions b = a;
-  b.label = "stream-b";
-  const auto factory = [] { return make_protocol("ag", 24); };
-  EXPECT_NE(measure(factory, gen_uniform_random(), a).parallel_times,
-            measure(factory, gen_uniform_random(), b).parallel_times);
-}
-
-TEST(Experiment, TimeoutsAreCountedAndCensored) {
-  MeasureOptions opt;
-  opt.trials = 3;
-  opt.label = "integration-timeout";
-  opt.max_interactions = 50;  // far too small for n = 64 from chaos
-  const Measurement m = measure(
-      [] { return make_protocol("ag", 64); }, gen_all_in_state(0), opt);
-  EXPECT_EQ(m.timeouts, 3u);
-  for (const double t : m.parallel_times) {
-    EXPECT_DOUBLE_EQ(t, 50.0 / 64.0);
-  }
+  const auto times = [](const std::string& label) {
+    return run("ag", 24, gen_uniform_random(), label, 3).parallel_times();
+  };
+  EXPECT_NE(times("stream-a"), times("stream-b"));
 }
 
 TEST(Experiment, KDistantGeneratorPluggedIn) {
-  MeasureOptions opt;
-  opt.trials = 3;
-  opt.label = "integration-kdistant";
-  const Measurement m =
-      measure([] { return make_protocol("ring-of-traps", 56); },
-              gen_k_distant(2), opt);
-  EXPECT_EQ(m.timeouts, 0u);
+  const TrialSet set =
+      run("ring-of-traps", 56, gen_k_distant(2), "integration-kdistant", 3);
+  EXPECT_EQ(set.stats.timeouts, 0u);
 }
 
 // The headline comparison the paper motivates: with O(log n) extra states
 // the tree protocol beats the quadratic baseline comfortably even at
 // moderate n.
 TEST(Integration, TreeBeatsAgAtModerateSize) {
-  MeasureOptions opt;
-  opt.trials = 5;
-  opt.label = "integration-tree-vs-ag";
-  const u64 n = 256;
-  const Measurement ag = measure(
-      [n] { return make_protocol("ag", n); }, gen_uniform_random(), opt);
-  const Measurement tree =
-      measure([n] { return make_protocol("tree-ranking", n); },
-              gen_uniform_random(), opt);
-  EXPECT_LT(tree.summary().mean * 2, ag.summary().mean)
-      << "tree=" << tree.summary().mean << " ag=" << ag.summary().mean;
+  const std::string label = "integration-tree-vs-ag";
+  const double ag =
+      run("ag", 256, gen_uniform_random(), label, 5).summary().mean;
+  const double tree =
+      run("tree-ranking", 256, gen_uniform_random(), label, 5).summary().mean;
+  EXPECT_LT(tree * 2, ag) << "tree=" << tree << " ag=" << ag;
 }
 
 // Ring beats AG when k is small (Theorem 1's regime k = o(sqrt n)).
 TEST(Integration, RingBeatsAgForSmallK) {
-  MeasureOptions opt;
-  opt.trials = 5;
-  opt.label = "integration-ring-vs-ag";
+  const std::string label = "integration-ring-vs-ag";
   const u64 n = 210;  // 14 * 15
-  const Measurement ring =
-      measure([n] { return make_protocol("ring-of-traps", n); },
-              gen_k_distant(1), opt);
-  const Measurement ag =
-      measure([n] { return make_protocol("ag", n); }, gen_k_distant(1), opt);
-  EXPECT_LT(ring.summary().mean, ag.summary().mean)
-      << "ring=" << ring.summary().mean << " ag=" << ag.summary().mean;
+  const double ring =
+      run("ring-of-traps", n, gen_k_distant(1), label, 5).summary().mean;
+  const double ag = run("ag", n, gen_k_distant(1), label, 5).summary().mean;
+  EXPECT_LT(ring, ag) << "ring=" << ring << " ag=" << ag;
 }
 
 // Sanity on the fitting pipeline over real measurements: AG's exponent over
@@ -107,13 +76,10 @@ TEST(Integration, RingBeatsAgForSmallK) {
 TEST(Integration, AgExponentRoughlyQuadratic) {
   std::vector<double> xs, ys;
   for (const u64 n : {32u, 64u, 128u}) {
-    MeasureOptions opt;
-    opt.trials = 4;
-    opt.label = "integration-ag-exponent";
-    const Measurement m = measure(
-        [n] { return make_protocol("ag", n); }, gen_uniform_random(), opt);
+    const TrialSet set =
+        run("ag", n, gen_uniform_random(), "integration-ag-exponent", 4);
     xs.push_back(static_cast<double>(n));
-    ys.push_back(m.summary().mean);
+    ys.push_back(set.summary().mean);
   }
   const PowerFit f = fit_power(xs, ys);
   EXPECT_GT(f.exponent, 1.5);
