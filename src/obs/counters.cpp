@@ -22,6 +22,8 @@ const char* counter_name(Counter c) {
       return "fault_agent_moves";
     case Counter::kFaultStateTouches:
       return "fault_state_touches";
+    case Counter::kTrapRowPasses:
+      return "trap_row_passes";
     case Counter::kCount:
       break;
   }

@@ -4,10 +4,11 @@
 // Counters answer the question end-of-run aggregates cannot: *where* did
 // the work go?  Every hot path of the simulator carries a named hook —
 // null-skip gap lengths in the engines, update depth in the Fenwick trees,
-// group sizes touched by the hierarchical sampler, roster rebuilds and
-// rejection retries in the sparse edge-Markovian state, fault bursts in
-// the hostile schedulers — and each hook is one predictable branch plus an
-// array increment against a thread-local CounterBlock.
+// group sizes touched by the hierarchical sampler, trap-row passes in the
+// state-distance sampler, roster rebuilds and rejection retries in the
+// sparse edge-Markovian state, fault bursts in the hostile schedulers —
+// and each hook is one predictable branch plus an array increment against
+// a thread-local CounterBlock.
 //
 // Determinism.  Counters never read the clock and never consume RNG, so
 // they cannot perturb a trajectory.  The parallel runner installs one
@@ -58,6 +59,10 @@ enum class Counter : u32 {
                        ///< move_agent fast path (2 per applied move) — the
                        ///< O(k log n) fault-cost evidence the update
                        ///< microbench and property tests read
+  kTrapRowPasses,      ///< TrapKernelSampler passes over its T trap rows
+                       ///< (one per event that moves agents across traps
+                       ///< or in or out of the extra states; 0 per
+                       ///< same-trap move)
   kCount,
 };
 inline constexpr u32 kNumCounters = static_cast<u32>(Counter::kCount);

@@ -270,13 +270,17 @@ GroupedKernelSampler::GroupedKernelSampler(const DistanceKernel& kernel,
   // carried by the per-position row-total window instead (and inert
   // extras carry no mass at all).
   std::vector<u64> mass(p.num_states(), 0);
+  after_.assign(n, 0);
   for (u64 s = 0; s < num_ranks_; ++s) {
     const std::vector<u32>& g = group_[s];
     u64 m = 0;
     for (u64 x = 0; x < g.size(); ++x) {
+      u64 row = 0;
       for (u64 y = x + 1; y < g.size(); ++y) {
-        m += 2 * kernel_->weight(g[x], g[y]);
+        row += 2 * kernel_->weight(g[x], g[y]);
       }
+      after_[g[x]] = row;
+      m += row;
     }
     mass[s] = m;
   }
@@ -288,16 +292,6 @@ GroupedKernelSampler::GroupedKernelSampler(const DistanceKernel& kernel,
     }
     extra_mass_.assign(std::move(rows));
   }
-}
-
-u64 GroupedKernelSampler::member_mass(u64 a,
-                                      const std::vector<u32>& group) const {
-  PP_OBS_ADD(kGroupTouches, group.size());
-  u64 m = 0;
-  for (const u32 x : group) {
-    if (x != a) m += 2 * kernel_->weight(a, x);
-  }
-  return m;
 }
 
 std::pair<u64, u64> GroupedKernelSampler::sample_productive(Rng& rng) const {
@@ -326,19 +320,23 @@ std::pair<u64, u64> GroupedKernelSampler::sample_productive(Rng& rng) const {
   PP_OBS_SKETCH(kGroupSize, g.size());
   u64 target = rng.below(productive_.get(s));
   // Resolve the pair inside the group: the stored mass is exactly
-  // Σ_{x<y} 2 w(x, y), so the scan must land.  Each unordered pair covers
-  // its two orientations contiguously (forward first).
-  for (u64 x = 0; x < g.size(); ++x) {
-    for (u64 y = x + 1; y < g.size(); ++y) {
-      const u64 w = kernel_->weight(g[x], g[y]);
-      if (target < 2 * w) {
-        return target < w ? std::make_pair<u64, u64>(g[x], g[y])
-                          : std::make_pair<u64, u64>(g[y], g[x]);
-      }
-      target -= 2 * w;
+  // Σ_{x<y} 2 w(x, y), laid out x-major with each unordered pair covering
+  // its two orientations contiguously (forward first).  after_ holds each
+  // x's share of that order, so x is found without touching the kernel
+  // and only x's own row is scanned for y.
+  u64 x = 0;
+  while (x < g.size() && target >= after_[g[x]]) target -= after_[g[x++]];
+  PP_ASSERT_MSG(x < g.size(),
+                "grouped sampler mass out of sync with its group");
+  for (u64 y = x + 1; y < g.size(); ++y) {
+    const u64 w = kernel_->weight(g[x], g[y]);
+    if (target < 2 * w) {
+      return target < w ? std::make_pair<u64, u64>(g[x], g[y])
+                        : std::make_pair<u64, u64>(g[y], g[x]);
     }
+    target -= 2 * w;
   }
-  PP_ASSERT_MSG(false, "grouped sampler mass out of sync with its group");
+  PP_ASSERT_MSG(false, "grouped sampler row out of sync with its after_");
   return {0, 0};
 }
 
@@ -346,15 +344,44 @@ void GroupedKernelSampler::move_agent(u64 a, StateId from, StateId to) {
   std::vector<u32>& f = group_[from];
   const u32 idx = slot_[a];
   const u32 moved = f.back();
+  if (from < num_ranks_) {
+    // Swap-remove a: the back member `moved` takes slot idx.  Members
+    // before idx lose their pair with a; members between idx and the back
+    // lose their pair with `moved`, which now precedes them, and those
+    // pairs become moved's after_.  a's mass is its own after_ plus its
+    // pairs with the members before it.
+    PP_OBS_ADD(kGroupTouches, f.size() - 1);
+    u64 lost = after_[a];
+    for (u64 i = 0; i < idx; ++i) {
+      const u64 w2 = 2 * kernel_->weight(f[i], a);
+      after_[f[i]] -= w2;
+      lost += w2;
+    }
+    u64 moved_after = 0;
+    for (u64 i = idx + 1; i + 1 < f.size(); ++i) {
+      const u64 w2 = 2 * kernel_->weight(f[i], moved);
+      after_[f[i]] -= w2;
+      moved_after += w2;
+    }
+    after_[moved] = moved_after;
+    productive_.set(from, productive_.get(from) - lost);
+  }
   f[idx] = moved;
   slot_[moved] = idx;
   f.pop_back();
-  if (from < num_ranks_) {
-    productive_.set(from, productive_.get(from) - member_mass(a, f));
-  }
   std::vector<u32>& t = group_[to];
   if (to < num_ranks_) {
-    productive_.set(to, productive_.get(to) + member_mass(a, t));
+    // Append a: every member gains its pair with a, and a (last) has none
+    // after it.
+    PP_OBS_ADD(kGroupTouches, t.size());
+    u64 gained = 0;
+    for (const u32 x : t) {
+      const u64 w2 = 2 * kernel_->weight(x, a);
+      after_[x] += w2;
+      gained += w2;
+    }
+    after_[a] = 0;
+    productive_.set(to, productive_.get(to) + gained);
   }
   slot_[a] = static_cast<u32>(t.size());
   t.push_back(static_cast<u32>(a));
@@ -461,56 +488,85 @@ u64 TrapKernelSampler::kappa(StateId s, StateId t) const {
   return kval(layout_.trap_of(s), layout_.trap_of(t));
 }
 
-void TrapKernelSampler::apply_delta(StateId s, i64 delta) {
+void TrapKernelSampler::TrapDeltas::add(u64 trap_id, i64 da, i64 de) {
+  u64 i = 0;
+  while (i < size && trap[i] != trap_id) ++i;
+  if (i == size) {
+    PP_DCHECK(size < 4);
+    trap[i] = trap_id;
+    agents[i] = 0;
+    extras[i] = 0;
+    ++size;
+  }
+  agents[i] += da;
+  extras[i] += de;
+}
+
+void TrapKernelSampler::count_change(StateId s, i64 delta, TrapDeltas& d) {
   PP_DCHECK(delta == 1 || delta == -1);
-  const bool add = delta > 0;
-  const u64 star = layout_.trap_of(s);
-  const u64 traps = layout_.num_traps();
-  // ΔQ = 2δ R_old[A*] + κ(0); on removal add κ(0) first — Q_new ≥ 0
-  // guarantees the subtraction cannot underflow.
-  if (add) {
-    q_ += 2 * row_[star] + k1_;
-  } else {
-    q_ = q_ + k1_ - 2 * row_[star];
-  }
-  // SER's R-dependence: Σ_B E_B ΔR[B] = δ RE_old[A*].  On removal
-  // SER ≥ RE[A*] termwise (trap A* still holds the departing agent, so
-  // R[B] ≥ κ(B, A*) for every B).
-  if (add) {
-    ser_ += extra_row_[star];
-  } else {
-    ser_ -= extra_row_[star];
-  }
-  for (u64 b = 0; b < traps; ++b) {
-    if (add) {
-      row_[b] += kval(b, star);
-    } else {
-      row_[b] -= kval(b, star);
-    }
-  }
-  counts_[s] = add ? counts_[s] + 1 : counts_[s] - 1;
-  trap_count_[star] = add ? trap_count_[star] + 1 : trap_count_[star] - 1;
+  counts_[s] += static_cast<u64>(delta);
   if (s < num_ranks_) {
     const u64 c = counts_[s];
     rank_diag_.set(s, c < 2 ? 0 : c * (c - 1));
+    d.add(layout_.trap_of(s), delta, 0);
     return;
   }
-  x_extra_ = add ? x_extra_ + 1 : x_extra_ - 1;
-  trap_extra_[star] = add ? trap_extra_[star] + 1 : trap_extra_[star] - 1;
-  for (u64 b = 0; b < traps; ++b) {
-    if (add) {
-      extra_row_[b] += kval(b, star);
-    } else {
-      extra_row_[b] -= kval(b, star);
+  x_extra_ += static_cast<u64>(delta);
+  d.add(layout_.trap_of(s), delta, delta);
+}
+
+void TrapKernelSampler::apply_trap_deltas(const TrapDeltas& d) {
+  // Split each trap's net change into its positive and negative parts, so
+  // every aggregate below adds its gains before it subtracts its losses:
+  // the new value is nonnegative, so no u64 ever passes through a wrapped
+  // intermediate.  Traps whose changes cancelled (a same-trap move) drop
+  // out here.
+  const auto up_part = [](i64 v) { return v > 0 ? static_cast<u64>(v) : 0; };
+  u64 trap[4], n_up[4], n_down[4], e_up[4], e_down[4], r_old[4];
+  u64 k = 0;
+  bool extras_moved = false;
+  for (u64 i = 0; i < d.size; ++i) {
+    if (d.agents[i] == 0 && d.extras[i] == 0) continue;
+    trap[k] = d.trap[i];
+    n_up[k] = up_part(d.agents[i]);
+    n_down[k] = up_part(-d.agents[i]);
+    e_up[k] = up_part(d.extras[i]);
+    e_down[k] = up_part(-d.extras[i]);
+    r_old[k] = row_[trap[k]];
+    extras_moved = extras_moved || d.extras[i] != 0;
+    ++k;
+  }
+  if (k == 0) return;
+  PP_OBS_INC(kTrapRowPasses);
+  // One fused pass: R[B] += Σ_A δn_A κ(B, A), and likewise RE[B] with δE.
+  for (u64 b = 0; b < layout_.num_traps(); ++b) {
+    u64 up = 0, down = 0, eup = 0, edown = 0;
+    for (u64 i = 0; i < k; ++i) {
+      const u64 kv = kval(b, trap[i]);
+      up += n_up[i] * kv;
+      down += n_down[i] * kv;
+      eup += e_up[i] * kv;
+      edown += e_down[i] * kv;
     }
+    row_[b] = row_[b] + up - down;
+    if (extras_moved) extra_row_[b] = extra_row_[b] + eup - edown;
   }
-  // SER's E-dependence, with R already updated: δ R_new[A*].  On removal
-  // the agent still counted in E_old, so SER ≥ R_new[A*] here.
-  if (add) {
-    ser_ += row_[star];
-  } else {
-    ser_ -= row_[star];
+  // With n' = n + δn and κ symmetric:
+  //   ΔQ   = Σ_A δn_A (R_old[A] + R_new[A]),
+  //   ΔSER = Σ_A δE_A R_old[A] + Σ_A δn_A RE_new[A].
+  u64 q_up = 0, q_down = 0, s_up = 0, s_down = 0;
+  for (u64 i = 0; i < k; ++i) {
+    const u64 a = trap[i];
+    trap_count_[a] = trap_count_[a] + n_up[i] - n_down[i];
+    trap_extra_[a] = trap_extra_[a] + e_up[i] - e_down[i];
+    const u64 r_sum = r_old[i] + row_[a];
+    q_up += n_up[i] * r_sum;
+    q_down += n_down[i] * r_sum;
+    s_up += e_up[i] * r_old[i] + n_up[i] * extra_row_[a];
+    s_down += e_down[i] * r_old[i] + n_down[i] * extra_row_[a];
   }
+  q_ = q_ + q_up - q_down;
+  ser_ = ser_ + s_up - s_down;
 }
 
 void TrapKernelSampler::fire(Protocol& p, Rng& rng) {
@@ -580,14 +636,16 @@ void TrapKernelSampler::fire(Protocol& p, Rng& rng) {
   }
   const auto [a1, a2] = p.apply_pair(si, sr);
   PP_DCHECK(a1 != si || a2 != sr);
+  TrapDeltas d;
   if (a1 != si) {
-    apply_delta(si, -1);
-    apply_delta(a1, +1);
+    count_change(si, -1, d);
+    count_change(a1, +1, d);
   }
   if (a2 != sr) {
-    apply_delta(sr, -1);
-    apply_delta(a2, +1);
+    count_change(sr, -1, d);
+    count_change(a2, +1, d);
   }
+  apply_trap_deltas(d);
 }
 
 // ---- DirectedPairRoster ---------------------------------------------------

@@ -44,13 +44,14 @@
 //     within-group kernel mass with partners found inside the (small)
 //     group, and extra-state pairs through per-agent kernel-row masses
 //     driven by the protocol's declared ExtraPairClasses (every library
-//     protocol qualifies).  O(n) memory, O(log n + group²) sampling,
+//     protocol qualifies).  O(n) memory, O(log n + group) sampling,
 //     O(group + log n) weight update per state change — against the dense
 //     path's Θ(n²) memory and Θ(n log n) update.
 //   * TrapKernelSampler — the state-distance spatial sampler behind
 //     weighted[trap-decay]: product weights κ(state, state) over
 //     ring_layout trap distance, run entirely on per-trap count
-//     aggregates (O(states) memory, O(√states + log states) per event).
+//     aggregates (O(states) memory; O(log states) per same-trap move,
+//     O(√states) per move across traps).
 //   * DirectedPairRoster — a compacting weight-1 PairSampler window for
 //     rosters that grow and shrink (the edge-Markovian present set):
 //     memory tracks the *live* edge count, not the pair universe.
@@ -294,7 +295,7 @@ class DistanceKernel {
 /// construction.  Unsupported patterns take the dense reference path.
 ///
 /// Costs, with g the size of the groups touched (O(log n / log log n)
-/// under a uniform random placement):  O(n) memory, O(log n + g²) per
+/// under a uniform random placement):  O(n) memory, O(log n + g) per
 /// productive sample, O(g + log n) per agent state change — against the
 /// dense path's Θ(n²) memory and Θ(n log n) per productive step.  Both
 /// totals (kernel total, productive total) are exact, so the accelerated
@@ -345,10 +346,6 @@ class GroupedKernelSampler {
   }
 
  private:
-  /// Σ over members x of group (excluding position a itself, if present)
-  /// of w(a, x) + w(x, a) — the ordered mass position a contributes.
-  u64 member_mass(u64 a, const std::vector<u32>& group) const;
-
   /// Asserts the declared ExtraPairClasses (and the backbone's rank-pair
   /// structure) against transition() on a bounded probe set.
   void verify_classes() const;
@@ -363,6 +360,9 @@ class GroupedKernelSampler {
   std::vector<StateId> state_;            // per position
   std::vector<std::vector<u32>> group_;   // per state: member positions
   std::vector<u32> slot_;                 // position -> index in its group
+  // Rank-state agents only: Σ over the members y after position a in its
+  // group of 2 w(a, y), so each rank group's after_ sums to its mass.
+  std::vector<u64> after_;
   Fenwick productive_;    // per rank state: within-group mass
   Fenwick extra_mass_;    // per position: kernel row total iff extra agent
 };
@@ -384,11 +384,14 @@ class GroupedKernelSampler {
 /// the count vector: per-trap agent/extra-agent counts, the per-trap row
 /// sums R[A] = Σ_B n_B κ(A, B), the quadratic form Q = Σ_A n_A R[A] and
 /// the extra-row sum Σ extra agents' rows — every total exact, so the
-/// accelerated geometric null-skipping construction carries over.  Per
-/// productive event: O(√states) for the trap scans plus O(log states)
-/// Fenwick work; memory O(states).  Extra-state productivity rides the
-/// same Protocol::ExtraPairClasses patterns GroupedKernelSampler
-/// supports.
+/// accelerated geometric null-skipping construction carries over.  An
+/// event folds its count changes into net per-trap deltas: a move that
+/// stays inside its trap costs only O(log states) Fenwick work, and one
+/// that crosses traps (or enters or leaves the extra states) adds one
+/// O(√states) pass over the trap rows.  A draw that lands in the extra
+/// window scans the extra states and the traps.  Memory O(states).
+/// Extra-state productivity rides the same Protocol::ExtraPairClasses
+/// patterns GroupedKernelSampler supports.
 class TrapKernelSampler {
  public:
   /// Builds from p's current configuration; `power` in {1, 2, 3}.
@@ -434,9 +437,24 @@ class TrapKernelSampler {
     return kval_[std::min(gap, layout_.num_traps() - gap)];
   }
 
+  /// Net per-trap changes of one event's agent and extra-agent counts:
+  /// at most four traps (two agents, each leaving one state for another).
+  struct TrapDeltas {
+    u64 trap[4];
+    i64 agents[4];
+    i64 extras[4];
+    u64 size = 0;
+    void add(u64 trap_id, i64 da, i64 de);
+  };
+
   /// Folds one count change (state s gains `delta` ∈ {-1, +1} agents)
-  /// into every aggregate; O(√states).
-  void apply_delta(StateId s, i64 delta);
+  /// into counts_, rank_diag_ and x_extra_, and its trap's share into d;
+  /// O(log states).
+  void count_change(StateId s, i64 delta, TrapDeltas& d);
+
+  /// Folds an event's net trap deltas into the trap rows, Q and SER: no
+  /// work when every trap's changes cancel, else one O(√states) pass.
+  void apply_trap_deltas(const TrapDeltas& d);
 
   const Protocol* p_;
   Protocol::ExtraPairClasses classes_;

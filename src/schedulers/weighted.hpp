@@ -34,7 +34,7 @@
 // (schedulers/pair_sampler.hpp) by default: the translation-invariant
 // kernel is held in closed form (DistanceKernel, O(n) memory) and the
 // productive mass lives in a two-level structure over states and their
-// occupant groups (GroupedKernelSampler) — O(log n + group²) per sample,
+// occupant groups (GroupedKernelSampler) — O(log n + group) per sample,
 // O(group + log n) per state change, exact totals, so the accelerated
 // uniform engine's geometric null-skipping carries over at any n whose
 // kernel total fits the sampler's 63-bit range (n ~ 10^6 for the harmonic
@@ -47,8 +47,8 @@
 // cross-validation tests pin the hierarchical path against; it keeps a
 // population guard at n <= kDenseMaxPopulation.  The trap-decay kernel is
 // agent-anonymous and runs entirely on TrapKernelSampler's per-trap count
-// aggregates (O(√states + log states) per event); it has no positional
-// dense path at all.
+// aggregates (O(log states) per same-trap move, O(√states) per move across
+// traps); it has no positional dense path at all.
 //
 // Because every kernel here assigns positive weight to every pair, a
 // weighted run can never get locally stuck: it ends at true silence,

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
@@ -39,6 +40,7 @@
 #include "schedulers/dynamic_graph.hpp"
 #include "schedulers/scheduler.hpp"
 #include "schedulers/weighted.hpp"
+#include "structures/ring_layout.hpp"
 
 namespace pp {
 namespace {
@@ -144,6 +146,47 @@ TEST(GroupedKernelSampler, ProductiveMassMatchesDenseScanExactly) {
     const auto [i, j] = gs.sample_productive(rng);
     gs.fire(p, i, j);
   }
+}
+
+TEST(GroupedKernelSampler, GroupMassesHoldThroughLargeGroupChurn) {
+  // Tree-ranking from all-in starts piles every agent into one rank group,
+  // so fires swap-remove members from the middle of large groups.  After
+  // every fire, each rank state's stored mass must equal the brute-force
+  // Σ_{x<y} 2 w(x, y) over its current members.
+  const u64 n = 72;
+  const WeightedScheduler sched(WeightKernel::kRingDecay);
+  const DistanceKernel k = sched.distance_kernel(n);
+  ProtocolPtr p = make_protocol("tree-ranking", n);
+  ASSERT_EQ(p->num_agents(), n);
+  Rng rng(79);
+  u64 fires = 0, restarts = 0, largest = 0;
+  while (fires < 2000) {
+    const StateId start = static_cast<StateId>(rng.below(p->num_ranks()));
+    p->reset(initial::all_in_state(*p, start));
+    GroupedKernelSampler gs(k, *p, p->configuration().to_agent_states());
+    ++restarts;
+    while (fires < 2000 && gs.productive_total() > 0) {
+      const auto [i, j] = gs.sample_productive(rng);
+      gs.fire(*p, i, j);
+      ++fires;
+      std::vector<u64> mass(p->num_ranks(), 0);
+      std::vector<u64> size(p->num_ranks(), 0);
+      const std::vector<StateId>& st = gs.states();
+      for (u64 x = 0; x < n; ++x) {
+        if (st[x] >= p->num_ranks()) continue;
+        ++size[st[x]];
+        for (u64 y = x + 1; y < n; ++y) {
+          if (st[y] == st[x]) mass[st[x]] += 2 * k.weight(x, y);
+        }
+      }
+      for (StateId s = 0; s < p->num_ranks(); ++s) {
+        ASSERT_EQ(gs.group_mass(s), mass[s]) << "state " << s << " fire "
+                                             << fires;
+        largest = std::max(largest, size[s]);
+      }
+    }
+  }
+  EXPECT_GE(largest, n / 2) << "restarts " << restarts;
 }
 
 TEST(GroupedKernelSampler, ProductiveSamplingMatchesDenseDistribution) {
@@ -307,7 +350,13 @@ TEST(TrapKernelSampler, MassesMatchDirectEnumerationOnLiveConfigs) {
   // count vector: Σ c_s (c_t - [s == t]) κ(s, t), masked to the
   // productive pairs for the productive total.  Both totals must agree to
   // the unit on live configurations as events fire.
-  for (const std::string name : {"ag", "line-of-traps", "tree-ranking"}) {
+  //
+  // Events come in two kinds: same-trap moves, whose net trap deltas are
+  // zero and skip the trap-row pass, and moves that cross traps.  Both
+  // must be seen for every protocol.  Ring-of-traps runs longer: its inner
+  // rule never leaves the trap, so gate-rule events, which do, are rare.
+  for (const std::string name :
+       {"ag", "ring-of-traps", "line-of-traps", "tree-ranking"}) {
     for (const u64 power : {u64{1}, u64{2}}) {
       const u64 n = preferred_population(name, 72);
       ProtocolPtr p = make_protocol(name, n);
@@ -315,8 +364,11 @@ TEST(TrapKernelSampler, MassesMatchDirectEnumerationOnLiveConfigs) {
       p->reset(initial::uniform_random(*p, rng));
       TrapKernelSampler ts(*p, power);
       const u64 states = p->num_states();
+      const RingLayout layout(states);
+      const int rounds = name == "ring-of-traps" ? 400 : 25;
+      u64 same_trap = 0, cross_trap = 0;
 
-      for (int round = 0; round < 25; ++round) {
+      for (int round = 0; round < rounds; ++round) {
         u64 weight = 0, productive = 0;
         const std::vector<u64>& c = p->counts();
         for (StateId s = 0; s < states; ++s) {
@@ -334,8 +386,19 @@ TEST(TrapKernelSampler, MassesMatchDirectEnumerationOnLiveConfigs) {
         ASSERT_EQ(ts.productive_total(), productive)
             << name << "^" << power << " round " << round;
         if (ts.productive_total() == 0) break;
+        const std::vector<u64> before = c;
         ts.fire(*p, rng);
+        std::vector<i64> trap_delta(layout.num_traps(), 0);
+        for (StateId s = 0; s < states; ++s) {
+          trap_delta[layout.trap_of(s)] += static_cast<i64>(p->counts()[s]) -
+                                           static_cast<i64>(before[s]);
+        }
+        const bool crossed = std::any_of(trap_delta.begin(), trap_delta.end(),
+                                         [](i64 d) { return d != 0; });
+        ++(crossed ? cross_trap : same_trap);
       }
+      EXPECT_GT(same_trap, 0u) << name << "^" << power;
+      EXPECT_GT(cross_trap, 0u) << name << "^" << power;
     }
   }
 }
@@ -729,6 +792,31 @@ TEST(HierarchicalPins, WeightedTrapDecayTrajectory) {
   EXPECT_TRUE(r.silent);
   EXPECT_EQ(r.interactions, 287366u);
   EXPECT_EQ(r.productive_steps, 1431u);
+}
+
+TEST(HierarchicalPins, WeightedTrapDecayRingOfTrapsTrajectory) {
+  // Ring-of-traps' inner rule keeps the moving agent in its trap, so most
+  // events here are same-trap moves (net per-trap deltas of zero), with
+  // gate-rule crossings between them.
+  const WeightedScheduler sched(WeightKernel::kTrapDecay);
+  const u64 n = preferred_population("ring-of-traps", 72);
+  const RunResult r =
+      run_weighted_protocol(sched, "ring-of-traps", n, /*seed=*/424242);
+  EXPECT_TRUE(r.silent);
+  EXPECT_EQ(r.interactions, 159877u);
+  EXPECT_EQ(r.productive_steps, 744u);
+}
+
+TEST(HierarchicalPins, WeightedRingDecayLargeTreeRankingTrajectory) {
+  // n = 1024 gives tree-ranking rank groups large enough that the grouped
+  // sampler's in-group pair resolution walks long member rows.
+  const WeightedScheduler sched(WeightKernel::kRingDecay);
+  const u64 n = preferred_population("tree-ranking", 1024);
+  const RunResult r =
+      run_weighted_protocol(sched, "tree-ranking", n, /*seed=*/424242);
+  EXPECT_TRUE(r.silent);
+  EXPECT_EQ(r.interactions, 10607130u);
+  EXPECT_EQ(r.productive_steps, 57790u);
 }
 
 TEST(HierarchicalPins, SparseMarkovTrajectory) {

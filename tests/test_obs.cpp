@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <set>
@@ -30,6 +31,8 @@
 #include "runner/seed_stream.hpp"
 #include "runner/sink.hpp"
 #include "rng/seed_sequence.hpp"
+#include "schedulers/pair_sampler.hpp"
+#include "structures/ring_layout.hpp"
 
 namespace pp {
 namespace {
@@ -294,6 +297,43 @@ TEST(ObsWork, AcceleratedRunStaysWithinUpdateBudget) {
     const auto [random_updates, random_steps] = run(p, rng);
     EXPECT_LE(random_updates, (name == "ag" ? 2 : 3) * random_steps) << name;
   }
+#endif
+}
+
+TEST(ObsWork, TrapSamplerPassesOnlyOnCrossTrapEvents) {
+#if !PP_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  // Ring-of-traps under the trap-decay kernel: an inner-rule event keeps
+  // the moving agent in its trap and must not touch the trap rows; a
+  // gate-rule event ejects it to the next trap and costs one fused pass.
+  ProtocolPtr p = make_protocol("ring-of-traps",
+                                preferred_population("ring-of-traps", 500));
+  Rng rng(derive_seed(84, "ring-of-traps"));
+  p->reset(initial::uniform_random(*p, rng));
+  TrapKernelSampler ts(*p, /*power=*/1);
+  const RingLayout layout(p->num_states());
+  u64 inner = 0, gate = 0;
+  for (int step = 0; step < 4000 && ts.productive_total() > 0; ++step) {
+    const std::vector<u64> before = p->counts();
+    CounterBlock block;
+    {
+      obs::ScopedCounters scope(&block);
+      ts.fire(*p, rng);
+    }
+    std::vector<i64> trap_delta(layout.num_traps(), 0);
+    for (StateId s = 0; s < p->num_states(); ++s) {
+      trap_delta[layout.trap_of(s)] +=
+          static_cast<i64>(p->counts()[s]) - static_cast<i64>(before[s]);
+    }
+    const bool crossed = std::any_of(trap_delta.begin(), trap_delta.end(),
+                                     [](i64 d) { return d != 0; });
+    ASSERT_EQ(block.get(Counter::kTrapRowPasses), crossed ? 1u : 0u)
+        << "step " << step;
+    ++(crossed ? gate : inner);
+  }
+  EXPECT_GT(inner, 0u);
+  EXPECT_GT(gate, 0u);
 #endif
 }
 
