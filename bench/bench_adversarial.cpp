@@ -17,7 +17,7 @@
 //     post-reset pour is deterministic by counting).
 //
 // Every (protocol × policy) point runs through the parallel runner via
-// RunOptions::scheduler — the same path as every other interaction model —
+// TrialSpec::scheduler — the same path as every other interaction model —
 // and appends one BENCH json record whose engine field names the concrete
 // policy (e.g. "adversarial[max-load]"), so the perf trajectories of the
 // four adversaries stay distinguishable and comparable across commits.

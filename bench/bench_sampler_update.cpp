@@ -5,8 +5,8 @@
 // trajectories (tests/test_fault_injection.cpp):
 //
 //   fast       the default — each teleported agent goes through the
-//              Protocol mutation API (uniform_agent_state / move_agent /
-//              commit_moves), O(log n) Fenwick work per move, so a
+//              Protocol mutation API (uniform_agent_state /
+//              move_agent), O(log n) Fenwick work per move, so a
 //              k-agent burst costs O(k log n) no matter how large the
 //              population is;
 //   dense-ref  the transparent original behind churn[.../dense-ref] —

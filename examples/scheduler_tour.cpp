@@ -47,8 +47,7 @@ int main(int argc, char** argv) {
     const pp::SchedulerPtr scheduler = pp::make_scheduler(spec, n);
     pp::RunOptions opt;
     opt.max_interactions = 20 * n * n * n;  // strand-proof budget
-    opt.scheduler = scheduler.get();
-    const pp::RunResult r = pp::run(*p, rng, opt);
+    const pp::RunResult r = scheduler->run(*p, rng, opt);
 
     std::printf("%-36s %10.1f %14llu %14llu %8s %6s\n",
                 std::string(scheduler->name()).c_str(), r.parallel_time,

@@ -5,20 +5,11 @@
 #include "obs/trace.hpp"
 
 namespace pp {
-namespace {
 
-// Common exit path of both engines; also enforces the RunResult contract
-// that observers and the parallel runner rely on: interactions never
-// undercounts productive_steps, and `silent` stays defined as
-// productive_weight()==0 on the protocol object itself.  The second assert
-// is a tripwire against future drift (e.g. silent becoming a cached flag
-// that can go stale); an *independent* recount of silence from the formal
-// transition function lives in tests/test_engine.cpp, not on the hot path.
-RunResult finish(const Protocol& p, RunResult r) {
+RunResult finish_run(const Protocol& p, RunResult r, double parallel_time) {
   r.silent = p.is_silent();
   r.valid = p.is_valid_ranking();
-  r.parallel_time =
-      static_cast<double>(r.interactions) / static_cast<double>(p.num_agents());
+  r.parallel_time = parallel_time;
   PP_ASSERT_MSG(r.interactions >= r.productive_steps,
                 "engine contract: interactions >= productive_steps");
   PP_ASSERT_MSG(!r.silent || p.productive_weight() == 0,
@@ -26,7 +17,11 @@ RunResult finish(const Protocol& p, RunResult r) {
   return r;
 }
 
-}  // namespace
+RunResult finish_run(const Protocol& p, RunResult r) {
+  return finish_run(p, r,
+                    static_cast<double>(r.interactions) /
+                        static_cast<double>(p.num_agents()));
+}
 
 bool advance_past_nulls(Rng& rng, double prob, u64 budget,
                         u64& interactions) {
@@ -53,24 +48,17 @@ bool advance_past_nulls(Rng& rng, double prob, u64 budget,
 RunResult run_accelerated(Protocol& p, Rng& rng, const RunOptions& opt) {
   const u64 n = p.num_agents();
   PP_ASSERT_MSG(n >= 2, "run_accelerated needs n >= 2 (no pairs otherwise)");
-  const double pairs = static_cast<double>(n) * static_cast<double>(n - 1);
-  RunResult r;
-  while (true) {
-    const u64 w = p.productive_weight();
-    if (w == 0) break;
-    const double prob = static_cast<double>(w) / pairs;
-    if (!advance_past_nulls(rng, prob, opt.max_interactions,
-                            r.interactions)) {
-      return finish(p, r);
+  // The uniform scheduler as a run_exact sampler: W productive pairs out
+  // of n(n-1), and the protocol draws the productive pair itself.
+  struct UniformPairs {
+    const Protocol& proto;
+    double pairs;
+    double productive_probability() const {
+      return static_cast<double>(proto.productive_weight()) / pairs;
     }
-    p.step_productive(rng);
-    ++r.productive_steps;
-    if (opt.on_change && !opt.on_change(p, r.interactions)) {
-      r.aborted = true;
-      return finish(p, r);
-    }
-  }
-  return finish(p, r);
+    void fire(Protocol& q, Rng& g) const { q.step_productive(g); }
+  } uniform{p, static_cast<double>(n) * static_cast<double>(n - 1)};
+  return run_exact(p, rng, opt, uniform);
 }
 
 RunResult run_uniform(Protocol& p, Rng& rng, const RunOptions& opt) {
@@ -78,7 +66,7 @@ RunResult run_uniform(Protocol& p, Rng& rng, const RunOptions& opt) {
                 "run_uniform needs n >= 2 (no pairs otherwise)");
   RunResult r;
   while (p.productive_weight() != 0) {
-    if (r.interactions >= opt.max_interactions) return finish(p, r);
+    if (r.interactions >= opt.max_interactions) return finish_run(p, r);
     ++r.interactions;
     if (p.step_uniform(rng)) {
       ++r.productive_steps;
@@ -86,16 +74,11 @@ RunResult run_uniform(Protocol& p, Rng& rng, const RunOptions& opt) {
       PP_OBS_TRACE_STEP(r.interactions);
       if (opt.on_change && !opt.on_change(p, r.interactions)) {
         r.aborted = true;
-        return finish(p, r);
+        return finish_run(p, r);
       }
     }
   }
-  return finish(p, r);
+  return finish_run(p, r);
 }
-
-// pp::run(p, rng, opt) — the scheduler-dispatching entry point declared
-// above — is defined in schedulers/scheduler.cpp: it needs the Scheduler
-// vtable, and keeping that out of this file keeps src/core compilable
-// without src/schedulers.
 
 }  // namespace pp

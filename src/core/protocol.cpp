@@ -35,7 +35,6 @@ void Protocol::reset(const Configuration& c) {
   for (u64 s = n_ranks_; s < n_states_; ++s) extra_agents_ += counts_[s];
   PP_DCHECK(extra_agents_ + rank_total == n_agents_);
   count_live_ = false;
-  on_reset();
 }
 
 Fenwick& Protocol::count_tree() {

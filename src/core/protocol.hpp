@@ -16,9 +16,9 @@
 //     red/green buffer), exposed through three virtual hooks.
 //
 // The two engines drive this interface in different ways:
-//   * AcceleratedEngine calls productive_weight() / step_productive() and
+//   * run_accelerated calls productive_weight() / step_productive() and
 //     skips null interactions in closed form (exact in distribution);
-//   * UniformEngine calls step_uniform(), faithfully simulating every
+//   * run_uniform calls step_uniform(), faithfully simulating every
 //     single interaction — it exists to validate the accelerated path.
 //
 // Invariant maintained throughout: productive_weight() counts *exactly* the
@@ -123,7 +123,7 @@ class Protocol {
 
   /// --- O(log n) mutation API for fault models --------------------------
   /// A churn fault teleports k agents; rebuilding the protocol from a
-  /// copied configuration costs O(n), these three calls cost O(k log n)
+  /// copied configuration costs O(n), these two calls cost O(k log n)
   /// total once the count tree is live (its O(n) build happens once per
   /// reset(), on the first uniform_agent_state()).  ChurnScheduler's fast
   /// path uses them; the copy-and-rebuild reference survives behind
@@ -141,20 +141,13 @@ class Protocol {
 
   /// Teleports one agent from state `from` (which must be occupied) to
   /// state `to`, keeping counts and every live Fenwick tree consistent;
-  /// from == to is a no-op.  Callers mutating in bulk must call
-  /// commit_moves() afterwards.
+  /// from == to is a no-op.
   void move_agent(StateId from, StateId to) {
     PP_DCHECK(counts_[from] >= 1);
     if (from == to) return;
     mutate(from, -1);
     mutate(to, +1);
   }
-
-  /// Ends a bulk-mutation burst: gives derived protocols the same
-  /// cache-refresh hook a full reset() would (no library protocol caches
-  /// anything today, but the contract keeps move_agent equivalent to
-  /// reset(configuration-with-moves-applied) forever).
-  void commit_moves() { on_reset(); }
 
   /// The formal transition function δ(initiator, responder) ->
   /// (initiator', responder') — the paper's rule set, written down
@@ -195,8 +188,6 @@ class Protocol {
   /// Uniform-scheduler interaction for a pair that is not two rank agents
   /// in the same state.  Returns true iff the configuration changed.
   virtual bool apply_cross(StateId initiator, StateId responder);
-  /// Called at the end of reset() so derived classes can refresh caches.
-  virtual void on_reset() {}
 
   /// --- helpers for derived classes -----------------------------------
   /// Adds delta agents to state s, keeping counts, the extra-agent tally

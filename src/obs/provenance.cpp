@@ -96,7 +96,6 @@ std::string spec_to_kv(const TrialSpec& spec) {
   put_enum(out, "sched.graph", s.graph);
   put_u(out, "sched.degree", s.degree);
   put_u(out, "sched.graph_seed", s.graph_seed);
-  put_u(out, "sched.graph_accelerated", s.graph_accelerated ? 1 : 0);
   put_enum(out, "sched.kernel", s.kernel);
   put_u(out, "sched.kernel_power", s.kernel_power);
   put_u(out, "sched.dense_reference", s.dense_reference ? 1 : 0);
@@ -171,8 +170,6 @@ TrialSpec spec_from_kv(const std::string& kv) {
       s.degree = as_u();
     } else if (key == "sched.graph_seed") {
       s.graph_seed = as_u();
-    } else if (key == "sched.graph_accelerated") {
-      s.graph_accelerated = as_u() != 0;
     } else if (key == "sched.kernel") {
       s.kernel = static_cast<WeightKernel>(as_u());
     } else if (key == "sched.kernel_power") {

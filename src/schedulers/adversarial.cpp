@@ -135,9 +135,7 @@ RunResult AdversarialScheduler::run(Protocol& p, Rng& rng,
     }
   }
 
-  return detail::finish_run(p, r,
-                            static_cast<double>(r.interactions) /
-                                static_cast<double>(p.num_agents()));
+  return finish_run(p, r);
 }
 
 }  // namespace pp

@@ -111,9 +111,6 @@ RunResult ChurnScheduler::run(Protocol& p, Rng& rng,
           delta[s] = 0;
         }
         touched.clear();
-        // Mirror the reference path: on_reset() fires only when the burst
-        // net-changed the configuration.
-        if (changed) p.commit_moves();
       }
       ++r.fault_events;
       PP_OBS_INC(kFaultEvents);
@@ -129,9 +126,7 @@ RunResult ChurnScheduler::run(Protocol& p, Rng& rng,
     }
     if (changed && opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
-      return detail::finish_run(p, r,
-                                static_cast<double>(r.interactions) /
-                                    static_cast<double>(n));
+      return finish_run(p, r);
     }
   }
 
@@ -139,8 +134,7 @@ RunResult ChurnScheduler::run(Protocol& p, Rng& rng,
   // exact null-skipping (the storm phase is the only part that needs
   // tick-by-tick simulation).
   detail::run_clean_tail(p, rng, opt, r);
-  return detail::finish_run(
-      p, r, static_cast<double>(r.interactions) / static_cast<double>(n));
+  return finish_run(p, r);
 }
 
 }  // namespace pp

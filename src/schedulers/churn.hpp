@@ -25,8 +25,8 @@
 // parallel_time = ticks / n.
 //
 // Fault cost.  By default each fault event applies its teleports through
-// the Protocol's O(log n) mutation API (uniform_agent_state / move_agent /
-// commit_moves) — O(k log n) for a k-agent burst, which is what lets the
+// the Protocol's O(log n) mutation API (uniform_agent_state / move_agent)
+// — O(k log n) for a k-agent burst, which is what lets the
 // hostile benches run churn at n = 10^5.  The original transparent
 // implementation — copy the configuration, apply the burst to the copy,
 // reset the protocol — costs O(n) per fault and survives behind

@@ -428,7 +428,6 @@ struct SparseMarkovState {
 template <typename State>
 RunResult markov_loop(State& ms, Protocol& p, Rng& rng,
                       const RunOptions& opt) {
-  const u64 n = p.num_agents();
   RunResult r;
   while (!p.is_silent()) {
     const double A = no_success_prob(ms.absent_count(), ms.birth);
@@ -460,8 +459,7 @@ RunResult markov_loop(State& ms, Protocol& p, Rng& rng,
       break;
     }
   }
-  return detail::finish_run(
-      p, r, static_cast<double>(r.interactions) / static_cast<double>(n));
+  return finish_run(p, r);
 }
 
 }  // namespace
@@ -586,7 +584,7 @@ RunResult DynamicGraphScheduler::run_rewire(Protocol& p, Rng& rng,
       epoch_end += period;
       continue;
     }
-    es->fire(p, es->pairs().sample_productive(rng));
+    es->fire(p, rng);
     ++r.productive_steps;
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
@@ -597,8 +595,7 @@ RunResult DynamicGraphScheduler::run_rewire(Protocol& p, Rng& rng,
       epoch_end += period;
     }
   }
-  return detail::finish_run(
-      p, r, static_cast<double>(r.interactions) / static_cast<double>(n));
+  return finish_run(p, r);
 }
 
 }  // namespace pp

@@ -23,35 +23,27 @@ RunResult GraphRestrictedScheduler::run(Protocol& p, Rng& rng,
   std::vector<StateId> placement = p.configuration().to_agent_states();
   rng.shuffle(placement);
   DirectedEdgeSampler es(*graph_, p, std::move(placement));
+  // Both paths stop at edge-silence (no productive directed edge left —
+  // either true silence or a locally stuck configuration), budget
+  // exhaustion or observer abort.
+  if (accelerated_) return run_exact(p, rng, opt, es);
 
+  // The naive loop draws every directed edge, nulls included: the test
+  // oracle the accelerated path is checked against.
   RunResult r;
-  // Stops at edge-silence (no productive directed edge left — either true
-  // silence or a locally stuck configuration), budget exhaustion or
-  // observer abort.
   while (es.pairs().productive_total() != 0) {
-    u64 fired;
-    if (accelerated_) {
-      if (!advance_past_nulls(rng, es.pairs().productive_probability(),
-                              opt.max_interactions, r.interactions)) {
-        break;
-      }
-      fired = es.pairs().sample_productive(rng);
-    } else {
-      if (r.interactions >= opt.max_interactions) break;
-      ++r.interactions;
-      const u64 drawn = es.pairs().sample(rng);
-      if (!es.pairs().productive(drawn)) continue;  // null step
-      fired = drawn;
-    }
-    es.fire(p, fired);
+    if (r.interactions >= opt.max_interactions) break;
+    ++r.interactions;
+    const u64 drawn = es.pairs().sample(rng);
+    if (!es.pairs().productive(drawn)) continue;  // null step
+    es.fire(p, drawn);
     ++r.productive_steps;
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
       break;
     }
   }
-  return detail::finish_run(
-      p, r, static_cast<double>(r.interactions) / static_cast<double>(n));
+  return finish_run(p, r);
 }
 
 }  // namespace pp

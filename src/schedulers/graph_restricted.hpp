@@ -57,7 +57,6 @@ class GraphRestrictedScheduler final : public Scheduler {
                 const RunOptions& opt = {}) const override;
 
   const InteractionGraph& graph() const { return *graph_; }
-  bool accelerated() const { return accelerated_; }
 
  private:
   std::shared_ptr<const InteractionGraph> graph_;

@@ -251,8 +251,8 @@ GroupedKernelSampler::GroupedKernelSampler(const DistanceKernel& kernel,
   PP_ASSERT_MSG(supports(p),
                 "the grouped kernel sampler needs an extra-state-free "
                 "protocol or a declared ExtraPairClasses pattern whose "
-                "extra mass is a sum of full kernel rows; other patterns "
-                "take the dense reference path");
+                "extra mass is a sum of full kernel rows; run other "
+                "patterns on the weighted dense reference path");
   has_extra_window_ = p.num_extra_states() > 0 &&
                       (classes_.extra_extra || classes_.extra_rank ||
                        classes_.rank_extra);

@@ -170,6 +170,12 @@ class DirectedEdgeSampler {
 
   const PairSampler& pairs() const { return pairs_; }
 
+  /// Per-step probability that a uniform directed-edge draw is productive
+  /// (run_exact's sampler interface; 0 at edge-silence).
+  double productive_probability() const {
+    return pairs_.productive_probability();
+  }
+
   /// Endpoints of a directed edge id as (initiator, responder).
   std::pair<u32, u32> endpoints(u64 directed) const {
     const auto [u, v] = g_->edges()[directed >> 1];
@@ -179,6 +185,10 @@ class DirectedEdgeSampler {
   /// Applies δ at the endpoints of `directed` (which must be productive),
   /// updates the vertex states and refreshes every incident directed edge.
   void fire(Protocol& p, u64 directed);
+
+  /// Samples a productive directed edge and fires it (run_exact's sampler
+  /// interface).  Precondition: pairs().productive_total() > 0.
+  void fire(Protocol& p, Rng& rng) { fire(p, pairs_.sample_productive(rng)); }
 
   /// Edge productivity through the shared pair_is_productive predicate
   /// (see its comment above for the agent-level vs configuration-level
@@ -292,7 +302,8 @@ class DistanceKernel {
 /// (any partner forms a productive pair).  supports() reports whether a
 /// protocol's declared pattern fits; the declaration itself is
 /// cross-checked against transition() on a bounded probe set at
-/// construction.  Unsupported patterns take the dense reference path.
+/// construction; an unsupported pattern fails that check (only the
+/// weighted scheduler's dense reference path can run it).
 ///
 /// Costs, with g the size of the groups touched (O(log n / log log n)
 /// under a uniform random placement):  O(n) memory, O(log n + g) per
@@ -330,6 +341,13 @@ class GroupedKernelSampler {
   /// Applies δ at positions (i, j) — which must currently be productive —
   /// through p.apply_pair and migrates the agents between groups.
   void fire(Protocol& p, u64 i, u64 j);
+
+  /// Samples a productive pair and fires it (run_exact's sampler
+  /// interface).  Precondition: productive_total() > 0.
+  void fire(Protocol& p, Rng& rng) {
+    const auto [i, j] = sample_productive(rng);
+    fire(p, i, j);
+  }
 
   const std::vector<StateId>& states() const { return state_; }
 

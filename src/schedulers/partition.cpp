@@ -81,8 +81,7 @@ RunResult PartitionScheduler::run(Protocol& p, Rng& rng,
 
   // Healed for good: run clean to silence on the remaining budget.
   detail::run_clean_tail(p, rng, opt, r);
-  return detail::finish_run(
-      p, r, static_cast<double>(r.interactions) / static_cast<double>(n));
+  return finish_run(p, r);
 }
 
 }  // namespace pp

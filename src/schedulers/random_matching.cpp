@@ -39,11 +39,11 @@ RunResult RandomMatchingScheduler::run(Protocol& p, Rng& rng,
       ++r.productive_steps;
       if (opt.on_change && !opt.on_change(p, r.interactions)) {
         r.aborted = true;
-        return detail::finish_run(p, r, rounds_elapsed(r));
+        return finish_run(p, r, rounds_elapsed(r));
       }
     }
   }
-  return detail::finish_run(p, r, rounds_elapsed(r));
+  return finish_run(p, r, rounds_elapsed(r));
 }
 
 }  // namespace pp

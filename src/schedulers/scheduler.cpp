@@ -14,13 +14,6 @@
 
 namespace pp {
 
-// Declared in core/engine.hpp; defined here so src/core never depends on
-// the schedulers layer (only this call site needs the Scheduler vtable).
-RunResult run(Protocol& p, Rng& rng, const RunOptions& opt) {
-  if (opt.scheduler != nullptr) return opt.scheduler->run(p, rng, opt);
-  return run_accelerated(p, rng, opt);
-}
-
 const char* scheduler_kind_name(SchedulerKind k) {
   switch (k) {
     case SchedulerKind::kUniform:
@@ -225,7 +218,10 @@ std::string SchedulerSpec::to_string() const {
       return "graph-restricted[" + graph_family_name(*this) + "]";
     case SchedulerKind::kWeighted: {
       std::string out = std::string("weighted[") + weight_kernel_name(kernel);
-      if (kernel_power != 1) out += "^" + std::to_string(kernel_power);
+      if (kernel_power != 1) {
+        out += "^";
+        out += std::to_string(kernel_power);
+      }
       if (dense_reference) out += "/dense-ref";
       out += "]";
       return out;
@@ -247,7 +243,8 @@ std::string SchedulerSpec::to_string() const {
           out += rate;
         }
       } else if (rewire_period != 0) {
-        out += "/T" + std::to_string(rewire_period);
+        out += "/T";
+        out += std::to_string(rewire_period);
       }
       if (dynamics == GraphDynamics::kEdgeMarkovian && dense_reference) {
         out += "/dense-ref";
@@ -265,9 +262,15 @@ std::string SchedulerSpec::to_string() const {
       char rate[32];
       std::snprintf(rate, sizeof(rate), "%g", churn_rate);
       std::string out = std::string("churn[") + rate;
-      if (churn_faults != 1) out += "x" + std::to_string(churn_faults);
+      if (churn_faults != 1) {
+        out += "x";
+        out += std::to_string(churn_faults);
+      }
       out += std::string("/") + churn_reset_name(churn_reset);
-      if (churn_active != 0) out += "/a" + std::to_string(churn_active);
+      if (churn_active != 0) {
+        out += "/a";
+        out += std::to_string(churn_active);
+      }
       if (dense_reference) out += "/dense-ref";
       out += "]";
       return out;
@@ -275,10 +278,17 @@ std::string SchedulerSpec::to_string() const {
     case SchedulerKind::kPartition: {
       std::string out = "partition[" + std::to_string(partition_blocks) +
                         "-blocks";
-      if (partition_split != 0) out += "/s" + std::to_string(partition_split);
-      if (partition_heal != 0) out += "/h" + std::to_string(partition_heal);
+      if (partition_split != 0) {
+        out += "/s";
+        out += std::to_string(partition_split);
+      }
+      if (partition_heal != 0) {
+        out += "/h";
+        out += std::to_string(partition_heal);
+      }
       if (partition_cycles != 3) {
-        out += "/c" + std::to_string(partition_cycles);
+        out += "/c";
+        out += std::to_string(partition_cycles);
       }
       out += "]";
       return out;
@@ -299,17 +309,14 @@ SchedulerPtr make_scheduler(const SchedulerSpec& spec, u64 n) {
     case SchedulerKind::kGraphRestricted: {
       auto graph = std::make_shared<const InteractionGraph>(
           InteractionGraph::make(spec.graph, n, spec.degree, spec.graph_seed));
-      return std::make_unique<GraphRestrictedScheduler>(
-          std::move(graph), spec.graph_accelerated);
+      return std::make_unique<GraphRestrictedScheduler>(std::move(graph));
     }
     case SchedulerKind::kWeighted:
       // Pinning n here both precomputes the kernel tables (shared by every
       // trial of a runner sweep) and rejects infeasible populations at
       // construction, where the caller is.
       return std::make_unique<WeightedScheduler>(
-          spec.kernel, spec.kernel_power, n,
-          spec.dense_reference ? WeightedScheduler::Path::kDense
-                               : WeightedScheduler::Path::kAuto);
+          spec.kernel, spec.kernel_power, n, spec.dense_reference);
     case SchedulerKind::kDynamicGraph:
       return std::make_unique<DynamicGraphScheduler>(spec, n);
     case SchedulerKind::kAdversarial:
@@ -347,17 +354,6 @@ void run_clean_tail(Protocol& p, Rng& rng, const RunOptions& opt,
   r.interactions += clean.interactions;
   r.productive_steps += clean.productive_steps;
   r.aborted = clean.aborted;
-}
-
-RunResult finish_run(const Protocol& p, RunResult r, double parallel_time) {
-  r.silent = p.is_silent();
-  r.valid = p.is_valid_ranking();
-  r.parallel_time = parallel_time;
-  PP_ASSERT_MSG(r.interactions >= r.productive_steps,
-                "scheduler contract: interactions >= productive_steps");
-  PP_ASSERT_MSG(!r.silent || p.productive_weight() == 0,
-                "scheduler contract: silent implies productive_weight()==0");
-  return r;
 }
 
 }  // namespace detail

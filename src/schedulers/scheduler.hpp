@@ -113,7 +113,6 @@ class Scheduler {
 
   /// Runs `p` to silence, budget exhaustion, observer abort, or (for
   /// restricted topologies) a locally stuck configuration.
-  /// opt.scheduler is ignored — dispatch already happened.
   virtual RunResult run(Protocol& p, Rng& rng,
                         const RunOptions& opt = {}) const = 0;
 };
@@ -199,7 +198,6 @@ struct SchedulerSpec {
   GraphKind graph = GraphKind::kComplete;
   u64 degree = 3;      ///< kRandomRegular only
   u64 graph_seed = 1;  ///< kRandomRegular only
-  bool graph_accelerated = true;  ///< null-skipping fast path
 
   /// kWeighted only: pair-weight kernel and its decay sharpness
   /// (w = floor(n/d)^kernel_power for the spatial kernels; power must be
@@ -277,11 +275,6 @@ std::vector<SchedulerSpec> standard_scheduler_menu();
 std::vector<SchedulerSpec> all_scheduler_specs();
 
 namespace detail {
-
-/// Shared exit path of the scheduler implementations: stamps silent/valid
-/// from the protocol, installs the scheduler-specific parallel time and
-/// enforces the engine result contract.
-RunResult finish_run(const Protocol& p, RunResult r, double parallel_time);
 
 /// Shared tail of the fault-model schedulers (churn, partition): once the
 /// hostile phase is over, runs `p` clean to silence under the accelerated

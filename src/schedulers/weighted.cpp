@@ -44,20 +44,37 @@ struct DenseState {
       refresh(x * n + v);
     }
   }
+
+  // run_exact's sampler interface.
+  double productive_probability() const {
+    return pairs.productive_probability();
+  }
+
+  void fire(Protocol& proto, Rng& rng) {
+    const u64 fired = pairs.sample_productive(rng);
+    const u64 i = fired / n;
+    const u64 j = fired % n;
+    const auto [si, sj] = proto.apply_pair(state[i], state[j]);
+    PP_DCHECK(si != state[i] || sj != state[j]);
+    state[i] = si;
+    state[j] = sj;
+    refresh_position(i);
+    refresh_position(j);
+  }
 };
 
 }  // namespace
 
 WeightedScheduler::WeightedScheduler(WeightKernel kernel, u64 power, u64 n,
-                                     Path path)
-    : kernel_(kernel), power_(power), n_(n), path_(path) {
+                                     bool dense_reference)
+    : kernel_(kernel), power_(power), n_(n), dense_reference_(dense_reference) {
   PP_ASSERT_MSG(power >= 1 && power <= 3,
                 "weighted scheduler needs kernel power in {1, 2, 3}");
   if (kernel_ == WeightKernel::kTrapDecay) {
     // The state-distance kernel is agent-anonymous: there is no positional
     // DistanceKernel to pin (the sampler is built per run from the
     // protocol's state space) and no dense pair universe to fall back to.
-    PP_ASSERT_MSG(path_ != Path::kDense,
+    PP_ASSERT_MSG(!dense_reference_,
                   "the trap-decay kernel has no positional dense reference "
                   "(weights live on states, not positions); tests "
                   "cross-validate it by direct enumeration instead");
@@ -72,15 +89,11 @@ WeightedScheduler::WeightedScheduler(WeightKernel kernel, u64 power, u64 n,
     PP_ASSERT_MSG(n_ >= 2, "weighted scheduler needs n >= 2");
     // Pin the closed-form kernel for every trial of a sweep (O(n) memory;
     // also runs the 63-bit total check up front, where the caller is).
-    // The Θ(n²) dense table is only materialised when the dense path can
-    // actually be taken.
     pinned_kernel_ =
         std::make_unique<const DistanceKernel>(distance_kernel(n_));
-    // Only an explicitly dense scheduler pre-materialises the Θ(n²) table
-    // (and can reject an oversized population here, where the caller is);
-    // an auto scheduler that ends up on the dense path for an extra-state
-    // protocol builds it per run, and run_dense re-checks the cap.
-    if (path_ == Path::kDense) {
+    // Only the dense reference materialises the Θ(n²) table (and rejects
+    // an oversized population here, where the caller is).
+    if (dense_reference_) {
       PP_ASSERT_MSG(n_ <= kDenseMaxPopulation,
                     "the dense reference path caps n at 4096 (dense pair "
                     "universe); use the hierarchical path for larger "
@@ -92,7 +105,7 @@ WeightedScheduler::WeightedScheduler(WeightKernel kernel, u64 power, u64 n,
   spec.kind = SchedulerKind::kWeighted;
   spec.kernel = kernel;
   spec.kernel_power = power;
-  spec.dense_reference = path == Path::kDense;
+  spec.dense_reference = dense_reference_;
   name_ = spec.to_string();
 }
 
@@ -157,67 +170,30 @@ RunResult WeightedScheduler::run(Protocol& p, Rng& rng,
   PP_ASSERT_MSG(n >= 2, "weighted scheduler needs n >= 2");
   PP_ASSERT_MSG(n_ == 0 || n_ == n,
                 "weighted scheduler built for a different population size");
-  if (kernel_ == WeightKernel::kTrapDecay) return run_trap(p, rng, opt);
-  // kAuto prefers the hierarchical path whenever the grouped sampler can
-  // represent the protocol's productive-pair structure — which it can for
-  // every library protocol, extra states included; the dense Θ(n²)
-  // reference survives for explicit /dense-ref specs and undeclared
-  // extra-pair patterns.
-  const bool dense =
-      path_ == Path::kDense ||
-      (path_ == Path::kAuto && !GroupedKernelSampler::supports(p));
-  return dense ? run_dense(p, rng, opt) : run_hierarchical(p, rng, opt);
-}
-
-RunResult WeightedScheduler::run_dense(Protocol& p, Rng& rng,
-                                       const RunOptions& opt) const {
-  const u64 n = p.num_agents();
-  PP_ASSERT_MSG(n <= kDenseMaxPopulation,
-                "the dense reference path caps n at 4096 (dense pair "
-                "universe); use the hierarchical path for larger "
-                "populations — see schedulers/weighted.hpp");
-  std::vector<StateId> placement = p.configuration().to_agent_states();
-  rng.shuffle(placement);
-  // The placement-independent kernel table is shared by every trial when
-  // the population size was pinned at construction (one copy per run, as
-  // the sampler consumes it); the unpinned path builds and moves its own.
-  std::vector<u64> table =
-      !dense_weights_.empty() ? dense_weights_ : kernel_table(n);
-  DenseState ds(std::move(table), p, std::move(placement));
-
-  RunResult r;
-  // Every kernel weight is >= 1, so zero productive weight on the pair
-  // universe is exactly global silence — weighted runs cannot get locally
-  // stuck the way a zero/one graph kernel can.
-  while (ds.pairs.productive_total() != 0) {
-    if (!advance_past_nulls(rng, ds.pairs.productive_probability(),
-                            opt.max_interactions, r.interactions)) {
-      break;
-    }
-    const u64 fired = ds.pairs.sample_productive(rng);
-    const u64 i = fired / n;
-    const u64 j = fired % n;
-    const auto [si, sj] = p.apply_pair(ds.state[i], ds.state[j]);
-    PP_DCHECK(si != ds.state[i] || sj != ds.state[j]);
-    ds.state[i] = si;
-    ds.state[j] = sj;
-    ds.refresh_position(i);
-    ds.refresh_position(j);
-    ++r.productive_steps;
-    if (opt.on_change && !opt.on_change(p, r.interactions)) {
-      r.aborted = true;
-      break;
-    }
+  // Every kernel weight is >= 1, so zero productive weight is exactly
+  // global silence — weighted runs cannot get locally stuck the way a
+  // zero/one graph kernel can.
+  if (kernel_ == WeightKernel::kTrapDecay) {
+    // Agents are anonymous under a state-distance kernel, so there is no
+    // placement to shuffle: the sampler runs straight off the protocol's
+    // count vector.
+    TrapKernelSampler ts(p, power_);
+    return run_exact(p, rng, opt, ts);
   }
-  return detail::finish_run(
-      p, r, static_cast<double>(r.interactions) / static_cast<double>(n));
-}
-
-RunResult WeightedScheduler::run_hierarchical(Protocol& p, Rng& rng,
-                                              const RunOptions& opt) const {
-  const u64 n = p.num_agents();
   std::vector<StateId> placement = p.configuration().to_agent_states();
   rng.shuffle(placement);
+  if (dense_reference_) {
+    PP_ASSERT_MSG(n <= kDenseMaxPopulation,
+                  "the dense reference path caps n at 4096 (dense pair "
+                  "universe); use the hierarchical path for larger "
+                  "populations — see schedulers/weighted.hpp");
+    // The placement-independent kernel table is shared by every trial
+    // when the population size was pinned at construction (one copy per
+    // run, as the sampler consumes it); the unpinned path builds its own.
+    DenseState ds(!dense_weights_.empty() ? dense_weights_ : kernel_table(n),
+                  p, std::move(placement));
+    return run_exact(p, rng, opt, ds);
+  }
   // Pinned constructions share one closed-form kernel across every trial
   // (it is immutable, so concurrent runner threads read it freely); the
   // unpinned path builds its own O(n) copy.
@@ -228,48 +204,7 @@ RunResult WeightedScheduler::run_hierarchical(Protocol& p, Rng& rng,
     kernel = &*local;
   }
   GroupedKernelSampler gs(*kernel, p, std::move(placement));
-
-  RunResult r;
-  while (gs.productive_total() != 0) {
-    if (!advance_past_nulls(rng, gs.productive_probability(),
-                            opt.max_interactions, r.interactions)) {
-      break;
-    }
-    const auto [i, j] = gs.sample_productive(rng);
-    gs.fire(p, i, j);
-    ++r.productive_steps;
-    if (opt.on_change && !opt.on_change(p, r.interactions)) {
-      r.aborted = true;
-      break;
-    }
-  }
-  return detail::finish_run(
-      p, r, static_cast<double>(r.interactions) / static_cast<double>(n));
-}
-
-RunResult WeightedScheduler::run_trap(Protocol& p, Rng& rng,
-                                      const RunOptions& opt) const {
-  const u64 n = p.num_agents();
-  // Agents are anonymous under a state-distance kernel, so there is no
-  // placement to shuffle: the sampler runs straight off the protocol's
-  // count vector.
-  TrapKernelSampler ts(p, power_);
-
-  RunResult r;
-  while (ts.productive_total() != 0) {
-    if (!advance_past_nulls(rng, ts.productive_probability(),
-                            opt.max_interactions, r.interactions)) {
-      break;
-    }
-    ts.fire(p, rng);
-    ++r.productive_steps;
-    if (opt.on_change && !opt.on_change(p, r.interactions)) {
-      r.aborted = true;
-      break;
-    }
-  }
-  return detail::finish_run(
-      p, r, static_cast<double>(r.interactions) / static_cast<double>(n));
+  return run_exact(p, rng, opt, gs);
 }
 
 }  // namespace pp

@@ -36,19 +36,20 @@
 // productive mass lives in a two-level structure over states and their
 // occupant groups (GroupedKernelSampler) — O(log n + group) per sample,
 // O(group + log n) per state change, exact totals, so the accelerated
-// uniform engine's geometric null-skipping carries over at any n whose
-// kernel total fits the sampler's 63-bit range (n ~ 10^6 for the harmonic
-// kernels at power 1).  Protocols with extra states ride the same path
-// through their declared Protocol::ExtraPairClasses (every library
-// protocol qualifies — see GroupedKernelSampler::supports); only
-// undeclared/unsupported patterns and callers that ask for it explicitly
-// (SchedulerSpec::dense_reference) take the dense Θ(n²) reference path
-// over all n(n-1) ordered pairs — the transparent implementation the
-// cross-validation tests pin the hierarchical path against; it keeps a
-// population guard at n <= kDenseMaxPopulation.  The trap-decay kernel is
-// agent-anonymous and runs entirely on TrapKernelSampler's per-trap count
-// aggregates (O(log states) per same-trap move, O(√states) per move across
-// traps); it has no positional dense path at all.
+// uniform engine's geometric null-skipping (run_exact) carries over at any
+// n whose kernel total fits the sampler's 63-bit range (n ~ 10^6 for the
+// harmonic kernels at power 1).  Protocols with extra states ride the same
+// path through their declared Protocol::ExtraPairClasses (every library
+// protocol qualifies — see GroupedKernelSampler::supports; a protocol
+// whose pattern does not fails that check at sampler construction).  Only
+// callers that ask for it (SchedulerSpec::dense_reference) take the dense
+// Θ(n²) reference path over all n(n-1) ordered pairs — the transparent
+// implementation the cross-validation tests pin the hierarchical path
+// against; it keeps a population guard at n <= kDenseMaxPopulation.  The
+// trap-decay kernel is agent-anonymous and runs entirely on
+// TrapKernelSampler's per-trap count aggregates (O(log states) per
+// same-trap move, O(√states) per move across traps); it has no positional
+// dense path at all.
 //
 // Because every kernel here assigns positive weight to every pair, a
 // weighted run can never get locally stuck: it ends at true silence,
@@ -67,16 +68,6 @@ namespace pp {
 
 class WeightedScheduler final : public Scheduler {
  public:
-  /// Which pair-selection machinery run() uses (positional kernels only;
-  /// trap-decay always runs on TrapKernelSampler).
-  enum class Path {
-    kAuto,          ///< hierarchical when GroupedKernelSampler::supports
-                    ///< the protocol (every library protocol), dense
-                    ///< otherwise
-    kHierarchical,  ///< force the sparse two-level sampler
-    kDense,         ///< force the dense Θ(n²) reference universe
-  };
-
   /// Population guard for the *dense reference path* only: it allocates
   /// Θ(n²) Fenwick slots over the ordered-pair universe (~0.5 GB at
   /// n = 4096, one sampler per run and one run per runner thread).  The
@@ -90,8 +81,11 @@ class WeightedScheduler final : public Scheduler {
   /// tables once at construction — the parallel runner builds one
   /// scheduler per trial set, so a sweep's trials share them; n = 0
   /// defers to run() (any population, tables built per run).
+  /// `dense_reference` routes a positional kernel through the dense Θ(n²)
+  /// reference universe instead of the hierarchical sampler; the
+  /// trap-decay kernel has no dense reference and rejects it.
   explicit WeightedScheduler(WeightKernel kernel, u64 power = 1, u64 n = 0,
-                             Path path = Path::kAuto);
+                             bool dense_reference = false);
 
   std::string_view name() const override { return name_; }
   RunResult run(Protocol& p, Rng& rng,
@@ -99,7 +93,7 @@ class WeightedScheduler final : public Scheduler {
 
   WeightKernel kernel() const { return kernel_; }
   u64 power() const { return power_; }
-  Path path() const { return path_; }
+  bool dense_reference() const { return dense_reference_; }
 
   /// The kernel weight of ordered pair (i, j) in a population of n;
   /// exposed for tests.  Requires i != j.  Positional kernels only (the
@@ -118,15 +112,10 @@ class WeightedScheduler final : public Scheduler {
   DistanceKernel distance_kernel(u64 n) const;
 
  private:
-  RunResult run_dense(Protocol& p, Rng& rng, const RunOptions& opt) const;
-  RunResult run_hierarchical(Protocol& p, Rng& rng,
-                             const RunOptions& opt) const;
-  RunResult run_trap(Protocol& p, Rng& rng, const RunOptions& opt) const;
-
   WeightKernel kernel_;
   u64 power_;
   u64 n_;  // 0 = resolved per run
-  Path path_;
+  bool dense_reference_;
   std::vector<u64> dense_weights_;  // kernel_table(n_) when pinned + dense
   std::unique_ptr<const DistanceKernel> pinned_kernel_;  // when pinned
   std::string name_;

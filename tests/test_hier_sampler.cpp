@@ -522,10 +522,9 @@ TEST(HierarchicalWeighted, RingDecayMatchesDenseReferenceStatistically) {
   // paths must produce the same stabilisation-time distribution (they
   // consume randomness differently, so only statistics can agree).
   const u64 n = 48;
-  const WeightedScheduler hier(WeightKernel::kRingDecay, 1, 0,
-                               WeightedScheduler::Path::kHierarchical);
+  const WeightedScheduler hier(WeightKernel::kRingDecay);
   const WeightedScheduler dense(WeightKernel::kRingDecay, 1, 0,
-                                WeightedScheduler::Path::kDense);
+                                /*dense_reference=*/true);
   const int kTrials = 60;
   double hier_time = 0, dense_time = 0;
   for (int t = 0; t < kTrials; ++t) {
@@ -684,10 +683,10 @@ TEST(HierarchicalScale, WeightedRingDecayRunsAtHundredThousand) {
 
 TEST(HierarchicalScale, ExtraStateWeightedRunsAtHundredThousand) {
   // The tentpole's headline: an extra-state protocol at n = 10^5 through
-  // the default weighted path.  Path::kAuto must pick the hierarchical
-  // sampler for line-of-traps (its declared extra-pair classes are
-  // supported), so a budget-capped run completes where the old dense-only
-  // routing could not even allocate.
+  // the default weighted path.  The hierarchical sampler carries
+  // line-of-traps (its declared extra-pair classes are supported), so a
+  // budget-capped run completes where the old dense-only routing could
+  // not even allocate.
   const u64 n = preferred_population("line-of-traps", 100000);
   EXPECT_GE(n, 90000u);
   SchedulerSpec spec;

@@ -107,35 +107,6 @@ TEST(SchedulerUniform, PinnedTrajectoryRegression) {
   EXPECT_EQ(a.productive_steps, kPinnedAcceleratedProductive);
 }
 
-// ---- pp::run dispatch -----------------------------------------------------
-
-TEST(SchedulerDispatch, NullSchedulerMeansAccelerated) {
-  AgProtocol a(20), b(20);
-  Rng ra(9), rb(9);
-  a.reset(initial::uniform_random(a, ra));
-  b.reset(initial::uniform_random(b, rb));
-  const RunResult direct = run_accelerated(a, ra);
-  const RunResult dispatched = run(b, rb, {});
-  EXPECT_EQ(direct.interactions, dispatched.interactions);
-  EXPECT_EQ(direct.productive_steps, dispatched.productive_steps);
-}
-
-TEST(SchedulerDispatch, RunUsesTheInstalledScheduler) {
-  const RandomMatchingScheduler matching;
-  AgProtocol p(20);
-  Rng rng(10);
-  p.reset(initial::uniform_random(p, rng));
-  RunOptions opt;
-  opt.scheduler = &matching;
-  const RunResult r = run(p, rng, opt);
-  EXPECT_TRUE(r.silent);
-  EXPECT_TRUE(r.valid);
-  // Matching parallel time counts rounds: at most interactions / floor(n/2)
-  // rounds can have elapsed, far below interactions / 1.
-  EXPECT_LE(r.parallel_time,
-            static_cast<double>(r.interactions) / (20 / 2) + 1.0);
-}
-
 // ---- random matching ------------------------------------------------------
 
 TEST(SchedulerMatching, StabilisesEveryProtocol) {

@@ -13,6 +13,9 @@
 //   * RunResult invariants: interactions >= productive_steps, the budget
 //     is respected, parallel time is finite and consistent with the run,
 //     silent == valid, no spurious aborts;
+//   * budget and observer: a budget of n interactions is never overrun
+//     (and used in full unless the run ends silent or locally stuck), and
+//     an observer that returns false stops the run on that very call;
 //   * determinism: the same seed through the same (const, stateless)
 //     scheduler instance reproduces the trajectory exactly — identical
 //     RunResult and identical final configuration;
@@ -91,11 +94,16 @@ class SchedulerConformance : public ::testing::TestWithParam<Case> {
   }
 
   RunResult run_once(const Scheduler& sched, u64 seed, ProtocolPtr& out) {
+    RunOptions opt;
+    opt.max_interactions = budget();
+    return run_once(sched, seed, out, opt);
+  }
+
+  RunResult run_once(const Scheduler& sched, u64 seed, ProtocolPtr& out,
+                     const RunOptions& opt) {
     out = make_protocol(GetParam().protocol, population());
     Rng rng(seed);
     out->reset(initial::uniform_random(*out, rng));
-    RunOptions opt;
-    opt.max_interactions = budget();
     return sched.run(*out, rng, opt);
   }
 };
@@ -139,6 +147,52 @@ TEST_P(SchedulerConformance, HonestVerdictAndRunResultInvariants) {
     EXPECT_TRUE(r.silent)
         << sched->name() << " failed to stabilise " << c.protocol
         << " within " << budget() << " interactions";
+  }
+}
+
+TEST_P(SchedulerConformance, BudgetAndObserverAbortAreHonoured) {
+  const Case& c = GetParam();
+  const SchedulerPtr sched = make_scheduler(c.spec, population());
+  const u64 n = population();
+
+  // A budget of n interactions, far below stabilisation: never overrun,
+  // and spent in full unless the run found silence or (graph-restricted
+  // only) got locally stuck first.
+  {
+    ProtocolPtr p;
+    RunOptions opt;
+    opt.max_interactions = n;
+    const RunResult r =
+        run_once(*sched, derive_seed(72, c.spec.to_string(), n), p, opt);
+    EXPECT_LE(r.interactions, n);
+    EXPECT_FALSE(r.aborted);
+    if (!r.silent && c.spec.kind != SchedulerKind::kGraphRestricted) {
+      EXPECT_EQ(r.interactions, n);
+    }
+  }
+
+  // An observer that returns false on its third call ends the run there.
+  // Only a sparse graph may end the run first, by getting locally stuck
+  // within its first two configuration changes.
+  {
+    ProtocolPtr p;
+    RunOptions opt;
+    opt.max_interactions = budget();
+    u64 calls = 0;
+    opt.on_change = [&calls](const Protocol&, u64) { return ++calls < 3; };
+    const RunResult r =
+        run_once(*sched, derive_seed(73, c.spec.to_string(), n), p, opt);
+    EXPECT_GE(r.interactions, r.productive_steps);
+    if (c.spec.kind == SchedulerKind::kGraphRestricted && !r.aborted) {
+      EXPECT_LT(calls, 3u);
+      EXPECT_EQ(calls, r.productive_steps);
+      EXPECT_FALSE(r.silent);
+      EXPECT_GT(p->productive_weight(), 0u);
+      EXPECT_LT(r.interactions, budget()) << "stuck runs stop early";
+    } else {
+      EXPECT_TRUE(r.aborted);
+      EXPECT_EQ(calls, 3u);
+    }
   }
 }
 

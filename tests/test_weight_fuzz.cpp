@@ -149,7 +149,6 @@ TEST(WeightFuzz, MixedPathsKeepEveryTreeConsistent) {
                   canonical_agent_state(p->counts(), rng.below(n));
               const auto to = static_cast<StateId>(rng.below(p->num_states()));
               p->move_agent(from, to);
-              p->commit_moves();
               break;
             }
             default: {
