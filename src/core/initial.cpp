@@ -1,5 +1,7 @@
 #include "core/initial.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace pp::initial {
@@ -32,17 +34,18 @@ Configuration k_distant(u64 num_ranks, u64 num_states, u64 k, Rng& rng) {
   PP_ASSERT_MSG(k < num_ranks, "cannot vacate every rank state");
   Configuration c = valid_ranking(num_ranks, num_states);
   if (k == 0) return c;
-  const std::vector<u64> vacated = rng.sample_distinct(num_ranks, k);
+  std::vector<u64> vacated = rng.sample_distinct(num_ranks, k);
   for (const u64 v : vacated) c.counts[v] = 0;
   // Re-home the k displaced agents on occupied ranks, sampled uniformly by
-  // index among the num_ranks - k survivors.
-  std::vector<u64> occupied;
-  occupied.reserve(num_ranks - k);
-  for (u64 s = 0; s < num_ranks; ++s) {
-    if (c.counts[s] != 0) occupied.push_back(s);
-  }
+  // index among the num_ranks - k survivors.  The j-th survivor is j plus
+  // the number of vacated ranks at or below it: those whose count of
+  // survivors below, vacated[m] - m in sorted order, is at most j.
+  std::sort(vacated.begin(), vacated.end());
+  for (u64 m = 0; m < k; ++m) vacated[m] -= m;
   for (u64 i = 0; i < k; ++i) {
-    ++c.counts[occupied[rng.below(occupied.size())]];
+    const u64 j = rng.below(num_ranks - k);
+    const auto below = std::upper_bound(vacated.begin(), vacated.end(), j);
+    ++c.counts[j + static_cast<u64>(below - vacated.begin())];
   }
   PP_ASSERT(k_distance(c, num_ranks) == k);
   return c;

@@ -14,9 +14,8 @@ RunResult LeaderElection::stabilise(Rng& rng, const RunOptions& opt) {
 }
 
 void LeaderElection::inject_faults(u64 faults, Rng& rng) {
-  Configuration c = ranking_->configuration();
-  c = initial::perturbed(std::move(c), faults, rng);
-  ranking_->reset(c);
+  ranking_->reset(
+      initial::perturbed(ranking_->configuration(), faults, rng));
 }
 
 }  // namespace pp

@@ -12,34 +12,25 @@ Protocol::Protocol(u64 num_agents, u64 num_ranks, u64 num_extra)
       n_states_(num_ranks + num_extra) {
   PP_ASSERT_MSG(n_agents_ >= 2, "need at least two agents to interact");
   PP_ASSERT_MSG(n_ranks_ >= 1, "need at least one rank state");
-  counts_.assign(n_states_, 0);
 }
 
-void Protocol::reset(const Configuration& c) {
+void Protocol::reset(Configuration c) {
   PP_ASSERT_MSG(c.num_states() == n_states_,
                 "configuration has wrong number of states");
   PP_ASSERT_MSG(c.agents() == n_agents_,
                 "configuration has wrong number of agents");
   PP_ASSERT_MSG(rules_.size() == n_ranks_,
                 "derived protocol did not install its rule table");
-  counts_ = c.counts;
-  std::vector<u64> weights(n_ranks_);
-  u64 rank_total = 0;
-  for (StateId s = 0; s < n_ranks_; ++s) {
-    const u64 cs = counts_[s];
-    weights[s] = cs * (cs - (cs > 0 ? 1 : 0));
-    rank_total += cs;
-  }
-  rank_weight_.assign(std::move(weights));
+  counts_ = std::move(c.counts);
+  rank_weight_.build(n_ranks_, PairLeaves{counts_});
   extra_agents_ = 0;
   for (u64 s = n_ranks_; s < n_states_; ++s) extra_agents_ += counts_[s];
-  PP_DCHECK(extra_agents_ + rank_total == n_agents_);
   count_live_ = false;
 }
 
-Fenwick& Protocol::count_tree() {
+SumLevels& Protocol::count_tree() {
   if (!count_live_) {
-    count_all_.assign(counts_);
+    count_all_.build(n_states_, Leaves{counts_});
     count_live_ = true;
     PP_DCHECK(count_all_.total() == n_agents_);
   }
@@ -53,11 +44,14 @@ void Protocol::mutate(StateId s, i64 delta) {
     PP_ASSERT_MSG(counts_[s] >= static_cast<u64>(-delta),
                   "mutate would drive a state count negative");
   }
-  counts_[s] = static_cast<u64>(static_cast<i64>(counts_[s]) + delta);
+  const u64 before = counts_[s];
+  const u64 after = static_cast<u64>(static_cast<i64>(before) + delta);
+  counts_[s] = after;
   if (count_live_) count_all_.add(s, delta);
   if (s < n_ranks_) {
-    const u64 c = counts_[s];
-    rank_weight_.set(s, c * (c - (c > 0 ? 1 : 0)));
+    // c(c - 1) changes by this modular u64 difference, read as signed.
+    rank_weight_.add(
+        s, static_cast<i64>(after * (after - 1) - before * (before - 1)));
   } else {
     extra_agents_ = static_cast<u64>(static_cast<i64>(extra_agents_) + delta);
   }
@@ -101,7 +95,12 @@ void Protocol::step_productive(Rng& rng) {
   PP_ASSERT_MSG(w_rank + w_extra > 0, "step_productive on a silent protocol");
   const u64 target = rng.below(w_rank + w_extra);
   if (target < w_rank) {
-    apply_rank_rule(static_cast<StateId>(rank_weight_.find(target)));
+    // The chosen state's rule shares its leaf node's rule-table line:
+    // fetch it while that node's counts load, not after.
+    const u64 s = rank_weight_.find(
+        target, PairLeaves{counts_},
+        [this](u64 first) { __builtin_prefetch(rules_.data() + first); });
+    apply_rank_rule(static_cast<StateId>(s));
   } else {
     step_extra(target - w_rank, rng);
   }
@@ -109,12 +108,15 @@ void Protocol::step_productive(Rng& rng) {
 
 bool Protocol::step_uniform(Rng& rng) {
   // Initiator uniform among agents; responder uniform among the rest.
-  Fenwick& counts = count_tree();
-  const StateId si = static_cast<StateId>(counts.find(rng.below(n_agents_)));
-  counts.add(si, -1);
-  const StateId sr =
-      static_cast<StateId>(counts.find(rng.below(n_agents_ - 1)));
-  counts.add(si, +1);
+  // The initiator leaves counts_ and the count tree for the responder's
+  // draw; the weight tree reads one stale leaf meanwhile, unused.
+  SumLevels& tree = count_tree();
+  const StateId si = find_by_count(rng.below(n_agents_));
+  --counts_[si];
+  tree.add(si, -1);
+  const StateId sr = find_by_count(rng.below(n_agents_ - 1));
+  ++counts_[si];
+  tree.add(si, +1);
 
   if (si < n_ranks_ && sr < n_ranks_) {
     if (si != sr) return false;  // state-optimal rules are (s,s) only

@@ -7,10 +7,12 @@
 // break silence.  All four protocols in this library therefore share the
 // same backbone:
 //
-//   * a per-rank-state table of same-state rules, with a Fenwick tree of
+//   * one per-state count array, the configuration's only copy;
+//   * a per-rank-state table of same-state rules, with a sum tree of
 //     "productive weights" c_s(c_s - 1) (the number of ordered pairs of
 //     distinct agents both in s) used to sample the next productive
-//     interaction in O(log n); and
+//     interaction in O(log n) — its leaves are computed from counts_ in
+//     place, not stored; and
 //   * optional protocol-specific *extra categories* covering interactions
 //     that involve extra states (the line protocol's X, the tree protocol's
 //     red/green buffer), exposed through three virtual hooks.
@@ -59,9 +61,11 @@ class Protocol {
 
   /// Loads a starting configuration (any arrangement of num_agents() agents
   /// over num_states() states — this is a *self-stabilising* protocol).
-  void reset(const Configuration& c);
+  /// Taken by value: an rvalue's counts become the protocol's own, an
+  /// lvalue is copied and left unchanged.
+  void reset(Configuration c);
 
-  /// Current configuration as per-state counts.
+  /// Current configuration as per-state counts (empty before reset()).
   const std::vector<u64>& counts() const { return counts_; }
   Configuration configuration() const { return Configuration(counts_); }
 
@@ -89,6 +93,11 @@ class Protocol {
   /// consistent.  Precondition: both states are occupied (two distinct
   /// agents, so count(s) >= 2 when initiator == responder).
   std::pair<StateId, StateId> apply_pair(StateId initiator, StateId responder);
+
+  /// The sum trees over counts(), for consistency checks: leaves
+  /// PairLeaves{counts()} and Leaves{counts()} (built on first use).
+  const SumLevels& pair_weight_tree() const { return rank_weight_; }
+  const SumLevels& count_levels() { return count_tree(); }
 
   /// Silent <=> no interaction can change the configuration.
   bool is_silent() const { return productive_weight() == 0; }
@@ -136,11 +145,11 @@ class Protocol {
   /// the count tree on first use (O(n) once; mutations keep it current).
   StateId uniform_agent_state(u64 target) {
     PP_DCHECK(target < n_agents_);
-    return static_cast<StateId>(count_tree().find(target));
+    return find_by_count(target);
   }
 
   /// Teleports one agent from state `from` (which must be occupied) to
-  /// state `to`, keeping counts and every live Fenwick tree consistent;
+  /// state `to`, keeping counts and every live sum tree consistent;
   /// from == to is a no-op.
   void move_agent(StateId from, StateId to) {
     PP_DCHECK(counts_[from] >= 1);
@@ -201,13 +210,15 @@ class Protocol {
   /// Samples a rank state with probability proportional to its count;
   /// `target` must be uniform in [0, rank_agents()).  Builds the count
   /// tree on first use.
-  StateId sample_rank_by_count(u64 target) {
-    return static_cast<StateId>(count_tree().find(target));
-  }
+  StateId sample_rank_by_count(u64 target) { return find_by_count(target); }
 
  private:
   /// The count tree, built from counts_ on first use after a reset().
-  Fenwick& count_tree();
+  SumLevels& count_tree();
+  /// The state of the `target`-th agent in state order, via the count tree.
+  StateId find_by_count(u64 target) {
+    return static_cast<StateId>(count_tree().find(target, Leaves{counts_}));
+  }
   /// Moves two agents from states (from1, from2) to (to1, to2) with one
   /// point update per tree entry whose state count changes net.
   void move_pair(StateId from1, StateId from2, StateId to1, StateId to2);
@@ -215,13 +226,13 @@ class Protocol {
   u64 n_agents_;
   u64 n_ranks_;
   u64 n_states_;
-  std::vector<u64> counts_;
-  u64 extra_agents_ = 0;  // agents in extra states
-  Fenwick rank_weight_;   // rank states: c_s * (c_s - 1)
+  std::vector<u64> counts_;  // the configuration; the trees' leaves
+  u64 extra_agents_ = 0;     // agents in extra states
+  SumLevels rank_weight_;    // rank states: c_s * (c_s - 1)
   // All states: c_s.  Only the uniform scheduler, churn and the extra
   // states' rank sampling read it, so it is built lazily and, once live,
   // kept current by mutate().
-  Fenwick count_all_;
+  SumLevels count_all_;
   bool count_live_ = false;
 };
 

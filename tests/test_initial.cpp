@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "rng/random.hpp"
 
 namespace pp {
@@ -42,6 +44,44 @@ TEST(Initial, KDistantZeroIsValidRanking) {
   Rng rng(4);
   const Configuration c = initial::k_distant(16, 16, 0, rng);
   EXPECT_TRUE(is_valid_ranking(c, 16));
+}
+
+// k_distant as it was first written: re-home the displaced agents through
+// an explicit list of the surviving ranks.  The current construction must
+// make the same draws and build the same configuration.
+Configuration k_distant_by_survivor_list(u64 num_ranks, u64 num_states, u64 k,
+                                         Rng& rng) {
+  Configuration c = initial::valid_ranking(num_ranks, num_states);
+  if (k == 0) return c;
+  const std::vector<u64> vacated = rng.sample_distinct(num_ranks, k);
+  for (const u64 v : vacated) c.counts[v] = 0;
+  std::vector<u64> occupied;
+  for (u64 s = 0; s < num_ranks; ++s) {
+    if (c.counts[s] != 0) occupied.push_back(s);
+  }
+  for (u64 i = 0; i < k; ++i) {
+    ++c.counts[occupied[rng.below(occupied.size())]];
+  }
+  return c;
+}
+
+TEST(Initial, KDistantMatchesSurvivorListConstruction) {
+  // k = n/4 and n/4 + 1 straddle sample_distinct's switch from Floyd's
+  // algorithm to a partial Fisher-Yates shuffle.
+  for (const u64 n : {2u, 9u, 1000u, 1056u}) {
+    for (const u64 k : {u64{1}, u64{2}, n / 4, n / 4 + 1, n - 1}) {
+      if (k >= n) continue;
+      for (u64 seed = 0; seed < 8; ++seed) {
+        Rng rng(seed);
+        Rng oracle(seed);
+        ASSERT_EQ(initial::k_distant(n, n + 1, k, rng).counts,
+                  k_distant_by_survivor_list(n, n + 1, k, oracle).counts)
+            << "n=" << n << " k=" << k << " seed " << seed;
+        ASSERT_EQ(rng.bits(), oracle.bits())
+            << "n=" << n << " k=" << k << " seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(Initial, AllInState) {
