@@ -1,10 +1,10 @@
 // Building blocks of a measurement point: the protocol factory and the
 // initial-configuration generator a TrialSpec (runner/runner.hpp) carries.
 //
-// run_trials() calls the factory once per trial for a fresh protocol
-// instance and hands the generator that trial's Rng, seeded with
-// derive_seed(master seed, label, trial), to draw the starting
-// configuration.  The gen_* helpers wrap core/initial.hpp.
+// run_trials() calls the factory once per trial set and runs each trial on
+// a fresh Protocol::sibling() of the result; it hands the generator that
+// trial's Rng, seeded with derive_seed(master seed, label, trial), to draw
+// the starting configuration.  The gen_* helpers wrap core/initial.hpp.
 #pragma once
 
 #include <functional>

@@ -23,9 +23,9 @@ RunResult finish_run(const Protocol& p, RunResult r) {
                         static_cast<double>(p.num_agents()));
 }
 
-bool advance_past_nulls(Rng& rng, double prob, u64 budget,
-                        u64& interactions) {
-  const u64 skip = rng.geometric_failures(prob);
+bool advance_past_nulls(Rng& rng, GeometricFailures& gaps, double prob,
+                        u64 budget, u64& interactions) {
+  const u64 skip = gaps(rng, prob);
   // For astronomically small `prob` the sampled gap can exceed u64 range
   // (geometric_failures saturates at kGeometricInfinity).  Any such gap
   // necessarily overruns the interaction budget, so clamp to it instead

@@ -61,12 +61,14 @@ RunResult run_uniform(Protocol& p, Rng& rng, const RunOptions& opt = {});
 /// The exact-acceleration kernel under run_exact (and the dynamic-graph
 /// schedulers, whose topology events interleave with it): samples the
 /// geometric run of null steps preceding the next productive one
-/// (per-step success probability `prob`) and advances `interactions` past
-/// it, including the productive step itself.  Returns false — with
-/// interactions clamped to `budget` — when the gap overruns the budget,
-/// treating Rng::kGeometricInfinity (the sampler's saturation sentinel for
+/// (per-step success probability `prob`, through the caller's per-run
+/// `gaps` memo) and advances `interactions` past it, including the
+/// productive step itself.  Returns false — with interactions clamped to
+/// `budget` — when the gap overruns the budget, treating
+/// Rng::kGeometricInfinity (the sampler's saturation sentinel for
 /// astronomically small `prob`) as an overrun of any budget.
-bool advance_past_nulls(Rng& rng, double prob, u64 budget, u64& interactions);
+bool advance_past_nulls(Rng& rng, GeometricFailures& gaps, double prob,
+                        u64 budget, u64& interactions);
 
 /// The one exit path of every engine and scheduler: stamps silent/valid
 /// from the protocol, installs `parallel_time` and enforces the RunResult
@@ -95,10 +97,12 @@ template <class Sampler>
 RunResult run_exact(Protocol& p, Rng& rng, const RunOptions& opt,
                     Sampler& s) {
   RunResult r;
+  GeometricFailures gaps;
   while (true) {
     const double prob = s.productive_probability();
     if (prob <= 0.0) break;
-    if (!advance_past_nulls(rng, prob, opt.max_interactions, r.interactions)) {
+    if (!advance_past_nulls(rng, gaps, prob, opt.max_interactions,
+                            r.interactions)) {
       break;
     }
     s.fire(p, rng);

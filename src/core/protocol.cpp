@@ -6,12 +6,20 @@
 
 namespace pp {
 
-Protocol::Protocol(u64 num_agents, u64 num_ranks, u64 num_extra)
+Protocol::Protocol(u64 num_agents, u64 num_ranks, u64 num_extra,
+                   std::shared_ptr<const RuleTable> rules)
     : n_agents_(num_agents),
       n_ranks_(num_ranks),
-      n_states_(num_ranks + num_extra) {
-  PP_ASSERT_MSG(n_agents_ >= 2, "need at least two agents to interact");
+      n_states_(num_ranks + num_extra),
+      rules_(std::move(rules)) {
+  check_agents(n_agents_);
   PP_ASSERT_MSG(n_ranks_ >= 1, "need at least one rank state");
+  PP_ASSERT_MSG(rules_ != nullptr && rules_->size() == n_ranks_,
+                "rule table must hold one rule per rank state");
+}
+
+void Protocol::check_agents(u64 num_agents) {
+  PP_ASSERT_MSG(num_agents >= 2, "need at least two agents to interact");
 }
 
 void Protocol::reset(Configuration c) {
@@ -19,8 +27,6 @@ void Protocol::reset(Configuration c) {
                 "configuration has wrong number of states");
   PP_ASSERT_MSG(c.agents() == n_agents_,
                 "configuration has wrong number of agents");
-  PP_ASSERT_MSG(rules_.size() == n_ranks_,
-                "derived protocol did not install its rule table");
   counts_ = std::move(c.counts);
   rank_weight_.build(n_ranks_, PairLeaves{counts_});
   extra_agents_ = 0;
@@ -60,7 +66,7 @@ void Protocol::mutate(StateId s, i64 delta) {
 void Protocol::apply_rank_rule(StateId s) {
   PP_DCHECK(s < n_ranks_);
   PP_DCHECK(counts_[s] >= 2);
-  const Rule r = rules_[s];
+  const Rule r = (*rules_)[s];
   move_pair(s, s, r.out1, r.out2);
 }
 
@@ -97,9 +103,10 @@ void Protocol::step_productive(Rng& rng) {
   if (target < w_rank) {
     // The chosen state's rule shares its leaf node's rule-table line:
     // fetch it while that node's counts load, not after.
+    const Rule* const rules = rules_->data();
     const u64 s = rank_weight_.find(
         target, PairLeaves{counts_},
-        [this](u64 first) { __builtin_prefetch(rules_.data() + first); });
+        [rules](u64 first) { __builtin_prefetch(rules + first); });
     apply_rank_rule(static_cast<StateId>(s));
   } else {
     step_extra(target - w_rank, rng);

@@ -8,7 +8,8 @@
 // same backbone:
 //
 //   * one per-state count array, the configuration's only copy;
-//   * a per-rank-state table of same-state rules, with a sum tree of
+//   * a per-rank-state table of same-state rules (immutable, and shared
+//     with every sibling() — see below), with a sum tree of
 //     "productive weights" c_s(c_s - 1) (the number of ordered pairs of
 //     distinct agents both in s) used to sample the next productive
 //     interaction in O(log n) — its leaves are computed from counts_ in
@@ -26,6 +27,13 @@
 // Invariant maintained throughout: productive_weight() counts *exactly* the
 // ordered agent pairs whose interaction would change the configuration, so
 // productive_weight() == 0  <=>  the configuration is silent.
+//
+// Immutable and mutable parts.  The rule table and the geometry behind it
+// (a ring or line layout, a balanced tree) depend only on the protocol and
+// n, so they live behind std::shared_ptr<const ...>; everything a run
+// changes (counts_, the sum trees) is per object.  sibling() hands out a
+// fresh object over the same tables: the runner builds one prototype per
+// trial set and runs every trial, on every thread, on a sibling of it.
 #pragma once
 
 #include <memory>
@@ -42,6 +50,9 @@
 
 namespace pp {
 
+class Protocol;
+using ProtocolPtr = std::unique_ptr<Protocol>;
+
 class Protocol {
  public:
   virtual ~Protocol() = default;
@@ -50,6 +61,14 @@ class Protocol {
 
   /// Human-readable protocol name (e.g. "ring-of-traps").
   virtual std::string_view name() const = 0;
+
+  /// A new protocol of the same kind and size that shares this one's
+  /// immutable tables (rule_table(), and the derived class's layout or
+  /// tree) instead of rebuilding them.  It has no configuration loaded
+  /// (counts() is empty until reset()) and shares nothing mutable, so
+  /// siblings run independently; calling this on a const prototype from
+  /// several threads at once is safe.
+  virtual ProtocolPtr sibling() const = 0;
 
   /// Population size n; equals the number of rank states for ranking
   /// protocols (auxiliary sub-protocols such as the single-line model of
@@ -93,6 +112,18 @@ class Protocol {
   /// consistent.  Precondition: both states are occupied (two distinct
   /// agents, so count(s) >= 2 when initiator == responder).
   std::pair<StateId, StateId> apply_pair(StateId initiator, StateId responder);
+
+  /// Same-state rule (s,s) -> (out1, out2) of a rank state s.  Every rule
+  /// changes the configuration (out1 != s or out2 != s).
+  struct Rule {
+    StateId out1;
+    StateId out2;
+  };
+  using RuleTable = std::vector<Rule>;
+  /// The rule table, one entry per rank state, shared by siblings.
+  const std::shared_ptr<const RuleTable>& rule_table() const {
+    return rules_;
+  }
 
   /// The sum trees over counts(), for consistency checks: leaves
   /// PairLeaves{counts()} and Leaves{counts()} (built on first use).
@@ -176,16 +207,17 @@ class Protocol {
  protected:
   /// A ranking protocol has num_agents == num_ranks; auxiliary
   /// sub-protocols may simulate fewer/more agents than rank states.
-  Protocol(u64 num_agents, u64 num_ranks, u64 num_extra);
+  /// `rules` holds one entry per rank state (outputs may be extra states);
+  /// a derived class whose rules sit inside a larger immutable shape
+  /// passes an aliasing pointer that owns the whole shape.
+  Protocol(u64 num_agents, u64 num_ranks, u64 num_extra,
+           std::shared_ptr<const RuleTable> rules);
 
-  /// Same-state rule (s,s) -> (out1, out2); derived constructors must fill
-  /// one entry per rank state (outputs may be extra states).  Every rule
-  /// must change the configuration (out1 != s or out2 != s).
-  struct Rule {
-    StateId out1;
-    StateId out2;
-  };
-  std::vector<Rule> rules_;
+  /// Aborts unless `num_agents` admits an interaction (>= 2 agents).  The
+  /// constructor checks this; shape builders that run before it and
+  /// would fail less clearly on a tiny n check first.
+  static void check_agents(u64 num_agents);
+
 
   /// --- hooks for protocols with extra states ------------------------
   /// Number of productive ordered pairs not counted by the rank-state
@@ -226,6 +258,7 @@ class Protocol {
   u64 n_agents_;
   u64 n_ranks_;
   u64 n_states_;
+  std::shared_ptr<const RuleTable> rules_;  // immutable, shared by siblings
   std::vector<u64> counts_;  // the configuration; the trees' leaves
   u64 extra_agents_ = 0;     // agents in extra states
   SumLevels rank_weight_;    // rank states: c_s * (c_s - 1)
@@ -235,7 +268,5 @@ class Protocol {
   SumLevels count_all_;
   bool count_live_ = false;
 };
-
-using ProtocolPtr = std::unique_ptr<Protocol>;
 
 }  // namespace pp

@@ -9,6 +9,7 @@
 // bench_ag_scaling / bench_tradeoff_table here).
 #pragma once
 
+#include <memory>
 #include <string_view>
 #include <utility>
 
@@ -21,8 +22,12 @@ class AgProtocol final : public Protocol {
   explicit AgProtocol(u64 n);
 
   std::string_view name() const override { return "ag"; }
+  ProtocolPtr sibling() const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
+
+ private:
+  AgProtocol(u64 n, std::shared_ptr<const RuleTable> rules);
 };
 
 }  // namespace pp

@@ -1,27 +1,44 @@
 #include "protocols/line_of_traps.hpp"
 
+#include <utility>
+
 #include "common/assert.hpp"
 
 namespace pp {
 
 LineOfTrapsProtocol::LineOfTrapsProtocol(u64 n)
-    : Protocol(n, n, /*num_extra=*/1), layout_(n) {
-  rules_.resize(n);
-  for (u64 l = 0; l < layout_.num_lines(); ++l) install_line_rules(l);
+    : LineOfTrapsProtocol(build_shape(n)) {}
+
+LineOfTrapsProtocol::LineOfTrapsProtocol(std::shared_ptr<const Shape> shape)
+    : Protocol(shape->layout.num_states(), shape->layout.num_states(),
+               /*num_extra=*/1,
+               std::shared_ptr<const RuleTable>(shape, &shape->rules)),
+      shape_(std::move(shape)) {}
+
+ProtocolPtr LineOfTrapsProtocol::sibling() const {
+  return ProtocolPtr(new LineOfTrapsProtocol(shape_));
 }
 
-void LineOfTrapsProtocol::install_line_rules(u64 l) {
-  const u64 traps = layout_.traps_per_line();
-  for (u64 a = 0; a < traps; ++a) {
-    const StateId gate = layout_.gate(l, a);
-    const StateId forward =
-        (a == 0) ? x_state() : layout_.gate(l, a - 1);
-    rules_[gate] = Rule{layout_.top(l, a), forward};
-    for (u64 b = 1; b < layout_.trap_size(l, a); ++b) {
-      const StateId s = static_cast<StateId>(gate + b);
-      rules_[s] = Rule{s, static_cast<StateId>(s - 1)};
+std::shared_ptr<const LineOfTrapsProtocol::Shape>
+LineOfTrapsProtocol::build_shape(u64 n) {
+  check_agents(n);
+  auto shape = std::make_shared<Shape>(Shape{LineLayout(n), RuleTable(n)});
+  const LineLayout& layout = shape->layout;
+  RuleTable& rules = shape->rules;
+  const StateId x = static_cast<StateId>(n);  // the extra state X
+  const u64 traps = layout.traps_per_line();
+  for (u64 l = 0; l < layout.num_lines(); ++l) {
+    for (u64 a = 0; a < traps; ++a) {
+      const StateId gate = layout.gate(l, a);
+      const StateId forward = (a == 0) ? x : layout.gate(l, a - 1);
+      rules[gate] = Rule{layout.top(l, a), forward};
+      for (u64 b = 1; b < layout.trap_size(l, a); ++b) {
+        const StateId s = static_cast<StateId>(gate + b);
+        rules[s] = Rule{s, static_cast<StateId>(s - 1)};
+      }
     }
   }
+  return shape;
 }
 
 u64 LineOfTrapsProtocol::extra_weight() const {
@@ -37,12 +54,12 @@ void LineOfTrapsProtocol::step_extra(u64 target, Rng& /*rng*/) {
   StateId destination;
   if (target < w_xx) {
     // X + X -> X + entrance gate of line 0.
-    destination = layout_.entrance_gate(0);
+    destination = layout().entrance_gate(0);
   } else {
     // (l,a,b) + X: initiator sampled proportionally to rank-state counts.
     const u64 q = (target - w_xx) / cx;
     const StateId s = sample_rank_by_count(q);
-    destination = layout_.route_target(s);
+    destination = layout().route_target(s);
   }
   mutate(x_state(), -1);
   mutate(destination, +1);
@@ -52,9 +69,9 @@ bool LineOfTrapsProtocol::apply_cross(StateId initiator, StateId responder) {
   if (responder != x_state()) return false;  // (X, rank) pairs are null
   StateId destination;
   if (initiator == x_state()) {
-    destination = layout_.entrance_gate(0);
+    destination = layout().entrance_gate(0);
   } else {
-    destination = layout_.route_target(initiator);
+    destination = layout().route_target(initiator);
   }
   mutate(x_state(), -1);
   mutate(destination, +1);
@@ -67,20 +84,20 @@ std::pair<StateId, StateId> LineOfTrapsProtocol::transition(
   if (responder == x) {
     // X + X -> X + (line 0's entrance gate);
     // (l,a,b) + X -> (l,a,b) + (l_i's entrance gate) via graph G.
-    if (initiator == x) return {x, layout_.entrance_gate(0)};
-    return {initiator, layout_.route_target(initiator)};
+    if (initiator == x) return {x, layout().entrance_gate(0)};
+    return {initiator, layout().route_target(initiator)};
   }
   if (initiator != responder || initiator == x) {
     return {initiator, responder};  // includes the null (X, rank) pairs
   }
   const StateId s = initiator;
-  if (layout_.local_of(s) > 0) {
+  if (layout().local_of(s) > 0) {
     return {s, static_cast<StateId>(s - 1)};  // inner descent
   }
-  const u64 l = layout_.line_of(s);
-  const u64 a = layout_.trap_of(s);
-  if (a == 0) return {layout_.top(l, 0), x};  // exit gate releases to X
-  return {layout_.top(l, a), layout_.gate(l, a - 1)};
+  const u64 l = layout().line_of(s);
+  const u64 a = layout().trap_of(s);
+  if (a == 0) return {layout().top(l, 0), x};  // exit gate releases to X
+  return {layout().top(l, a), layout().gate(l, a - 1)};
 }
 
 namespace {
@@ -104,33 +121,33 @@ LineOutcome line_outcome_of_counts(const LineLayout& layout,
 
 u64 LineOfTrapsProtocol::global_excess() const {
   u64 r = count(x_state());
-  for (u64 l = 0; l < layout_.num_lines(); ++l) {
-    r += line_outcome_of_counts(layout_, counts(), l).excess;
+  for (u64 l = 0; l < layout().num_lines(); ++l) {
+    r += line_outcome_of_counts(layout(), counts(), l).excess;
   }
   return r;
 }
 
 u64 LineOfTrapsProtocol::global_surplus() const {
   u64 s = count(x_state());
-  for (u64 l = 0; l < layout_.num_lines(); ++l) {
-    s += line_outcome_of_counts(layout_, counts(), l).released;
+  for (u64 l = 0; l < layout().num_lines(); ++l) {
+    s += line_outcome_of_counts(layout(), counts(), l).released;
   }
   return s;
 }
 
 u64 LineOfTrapsProtocol::global_deficit() const {
   u64 d = 0;
-  for (u64 l = 0; l < layout_.num_lines(); ++l) {
-    d += line_outcome_of_counts(layout_, counts(), l).deficit;
+  for (u64 l = 0; l < layout().num_lines(); ++l) {
+    d += line_outcome_of_counts(layout(), counts(), l).deficit;
   }
   return d;
 }
 
 std::string LineOfTrapsProtocol::describe_state(StateId s) const {
   if (s == x_state()) return "X";
-  const u64 l = layout_.line_of(s);
-  const u64 a = layout_.trap_of(s);
-  const u64 b = layout_.local_of(s);
+  const u64 l = layout().line_of(s);
+  const u64 a = layout().trap_of(s);
+  const u64 b = layout().local_of(s);
   std::string out = "(l=" + std::to_string(l) + ",a=" + std::to_string(a) +
                     ",b=" + std::to_string(b);
   if (b == 0) out += a == 0 ? "|exit-gate" : "|gate";
@@ -172,21 +189,43 @@ LineOutcome predict_line_outcome(std::span<const u64> beta,
   return out;
 }
 
-SingleLineProtocol::SingleLineProtocol(u64 num_agents, u64 traps, u64 inner)
-    : Protocol(num_agents, traps * (inner + 1), /*num_extra=*/1),
-      traps_(traps),
-      inner_(inner) {
+namespace {
+
+std::shared_ptr<const Protocol::RuleTable> single_line_rules(u64 traps,
+                                                             u64 inner) {
   PP_ASSERT(traps >= 1 && inner >= 1);
-  rules_.resize(num_ranks());
-  for (u64 a = 0; a < traps_; ++a) {
-    const StateId g = gate(a);
-    const StateId forward = (a == 0) ? x_state() : gate(a - 1);
-    rules_[g] = Rule{top(a), forward};
-    for (u64 b = 1; b <= inner_; ++b) {
+  const u64 size = inner + 1;  // trap a holds gate a*size .. top a*size+inner
+  const StateId x = static_cast<StateId>(traps * size);
+  auto rules = std::make_shared<Protocol::RuleTable>(traps * size);
+  for (u64 a = 0; a < traps; ++a) {
+    const StateId g = static_cast<StateId>(a * size);
+    const StateId forward =
+        (a == 0) ? x : static_cast<StateId>((a - 1) * size);
+    (*rules)[g] = {static_cast<StateId>(g + inner), forward};
+    for (u64 b = 1; b <= inner; ++b) {
       const StateId s = static_cast<StateId>(g + b);
-      rules_[s] = Rule{s, static_cast<StateId>(s - 1)};
+      (*rules)[s] = {s, static_cast<StateId>(s - 1)};
     }
   }
+  return rules;
+}
+
+}  // namespace
+
+SingleLineProtocol::SingleLineProtocol(u64 num_agents, u64 traps, u64 inner)
+    : SingleLineProtocol(num_agents, traps, inner,
+                         single_line_rules(traps, inner)) {}
+
+SingleLineProtocol::SingleLineProtocol(u64 num_agents, u64 traps, u64 inner,
+                                       std::shared_ptr<const RuleTable> rules)
+    : Protocol(num_agents, traps * (inner + 1), /*num_extra=*/1,
+               std::move(rules)),
+      traps_(traps),
+      inner_(inner) {}
+
+ProtocolPtr SingleLineProtocol::sibling() const {
+  return ProtocolPtr(
+      new SingleLineProtocol(num_agents(), traps_, inner_, rule_table()));
 }
 
 std::pair<StateId, StateId> SingleLineProtocol::transition(

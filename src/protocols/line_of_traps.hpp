@@ -27,6 +27,7 @@
 //     s(C_l) and the deficit d(C_l) of a line configuration.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -43,11 +44,12 @@ class LineOfTrapsProtocol final : public Protocol {
   explicit LineOfTrapsProtocol(u64 n);
 
   std::string_view name() const override { return "line-of-traps"; }
+  ProtocolPtr sibling() const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   std::string describe_state(StateId s) const override;
 
-  const LineLayout& layout() const { return layout_; }
+  const LineLayout& layout() const { return shape_->layout; }
 
   /// The extra state X.
   StateId x_state() const { return static_cast<StateId>(num_ranks()); }
@@ -75,9 +77,16 @@ class LineOfTrapsProtocol final : public Protocol {
   bool apply_cross(StateId initiator, StateId responder) override;
 
  private:
-  void install_line_rules(u64 l);
+  /// The immutable part siblings share: the layout (with its routing
+  /// graph) and its rules.
+  struct Shape {
+    LineLayout layout;
+    RuleTable rules;
+  };
+  static std::shared_ptr<const Shape> build_shape(u64 n);
+  explicit LineOfTrapsProtocol(std::shared_ptr<const Shape> shape);
 
-  LineLayout layout_;
+  std::shared_ptr<const Shape> shape_;
 };
 
 /// Outcome of running one line to silence with no arriving agents
@@ -107,6 +116,7 @@ class SingleLineProtocol final : public Protocol {
   SingleLineProtocol(u64 num_agents, u64 traps, u64 inner);
 
   std::string_view name() const override { return "single-line"; }
+  ProtocolPtr sibling() const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
 
@@ -129,6 +139,9 @@ class SingleLineProtocol final : public Protocol {
   bool apply_cross(StateId, StateId) override { return false; }  // X inert
 
  private:
+  SingleLineProtocol(u64 num_agents, u64 traps, u64 inner,
+                     std::shared_ptr<const RuleTable> rules);
+
   u64 traps_;
   u64 inner_;
 };

@@ -16,6 +16,7 @@
 // function K = k1 + 2 k2 for the invariant property tests.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -34,18 +35,27 @@ class RingOfTrapsProtocol final : public Protocol {
   RingOfTrapsProtocol(u64 n, u64 traps);
 
   std::string_view name() const override { return "ring-of-traps"; }
+  ProtocolPtr sibling() const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   std::string describe_state(StateId s) const override;
 
-  const RingLayout& layout() const { return layout_; }
+  const RingLayout& layout() const { return shape_->layout; }
 
   /// Lemma 3 weight of the current configuration (non-increasing along
   /// every trajectory; checked by tests).
-  u64 lemma3_weight() const { return layout_.lemma3_weight(counts()); }
+  u64 lemma3_weight() const { return layout().lemma3_weight(counts()); }
 
  private:
-  RingLayout layout_;
+  /// The immutable part siblings share: the layout and its rules.
+  struct Shape {
+    RingLayout layout;
+    RuleTable rules;
+  };
+  static std::shared_ptr<const Shape> build_shape(RingLayout layout);
+  explicit RingOfTrapsProtocol(std::shared_ptr<const Shape> shape);
+
+  std::shared_ptr<const Shape> shape_;
 };
 
 }  // namespace pp

@@ -1,6 +1,7 @@
 #include "protocols/tree_ranking.hpp"
 
 #include <bit>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -16,21 +17,38 @@ u64 default_k(u64 n) {
 }  // namespace
 
 TreeRankingProtocol::TreeRankingProtocol(u64 n, u64 k, ResetMode mode)
-    : Protocol(n, n, /*num_extra=*/2 * (k == 0 ? default_k(n) : k)),
-      tree_(n),
-      k_(k == 0 ? default_k(n) : k),
+    : TreeRankingProtocol(build_shape(n), k == 0 ? default_k(n) : k, mode) {}
+
+TreeRankingProtocol::TreeRankingProtocol(std::shared_ptr<const Shape> shape,
+                                         u64 k, ResetMode mode)
+    : Protocol(shape->tree.size(), shape->tree.size(), /*num_extra=*/2 * k,
+               std::shared_ptr<const RuleTable>(shape, &shape->rules)),
+      shape_(std::move(shape)),
+      k_(k),
       mode_(mode) {
   PP_ASSERT_MSG(k_ >= 1, "buffer line needs at least X_1, X_2");
-  rules_.resize(n);
+}
+
+ProtocolPtr TreeRankingProtocol::sibling() const {
+  return ProtocolPtr(new TreeRankingProtocol(shape_, k_, mode_));
+}
+
+std::shared_ptr<const TreeRankingProtocol::Shape>
+TreeRankingProtocol::build_shape(u64 n) {
+  auto shape = std::make_shared<Shape>(Shape{BalancedTree(n), RuleTable(n)});
+  const BalancedTree& tree = shape->tree;
+  RuleTable& rules = shape->rules;
+  const StateId x1 = static_cast<StateId>(n);  // X_1, the first extra state
   for (StateId p = 0; p < n; ++p) {
-    if (tree_.is_leaf(p)) {
-      rules_[p] = Rule{x_state(1), x_state(1)};  // R2: reset signal
-    } else if (tree_.is_branching(p)) {
-      rules_[p] = Rule{tree_.left_child(p), tree_.right_child(p)};  // R1
+    if (tree.is_leaf(p)) {
+      rules[p] = Rule{x1, x1};  // R2: reset signal
+    } else if (tree.is_branching(p)) {
+      rules[p] = Rule{tree.left_child(p), tree.right_child(p)};  // R1
     } else {
-      rules_[p] = Rule{p, tree_.left_child(p)};  // R1, lone child = p+1
+      rules[p] = Rule{p, tree.left_child(p)};  // R1, lone child = p+1
     }
   }
+  return shape;
 }
 
 u64 TreeRankingProtocol::extra_weight() const {
@@ -138,11 +156,12 @@ std::pair<StateId, StateId> TreeRankingProtocol::transition(
   if (!init_extra && !resp_extra) {
     if (initiator != responder) return {initiator, responder};
     const StateId p = initiator;
-    if (tree_.is_leaf(p)) return {x_state(1), x_state(1)};       // R2
-    if (tree_.is_branching(p)) {
-      return {tree_.left_child(p), tree_.right_child(p)};       // R1
+    const BalancedTree& t = tree();
+    if (t.is_leaf(p)) return {x_state(1), x_state(1)};          // R2
+    if (t.is_branching(p)) {
+      return {t.left_child(p), t.right_child(p)};               // R1
     }
-    return {p, tree_.left_child(p)};                            // R1
+    return {p, t.left_child(p)};                                // R1
   }
   if (init_extra && resp_extra) {
     const u64 i = x_index(initiator);
@@ -165,8 +184,8 @@ std::string TreeRankingProtocol::describe_state(StateId s) const {
     return "X_" + std::to_string(i) + (is_red(i) ? "(red)" : "(green)");
   }
   std::string out = "node " + std::to_string(s);
-  if (tree_.is_leaf(s)) return out + " (leaf)";
-  return out + (tree_.is_branching(s) ? " (branching)" : " (chain)");
+  if (tree().is_leaf(s)) return out + " (leaf)";
+  return out + (tree().is_branching(s) ? " (branching)" : " (chain)");
 }
 
 }  // namespace pp

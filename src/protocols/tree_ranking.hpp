@@ -31,6 +31,7 @@
 // asymptotic claim.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -60,11 +61,12 @@ class TreeRankingProtocol final : public Protocol {
     return mode_ == ResetMode::kStandard ? "tree-ranking"
                                          : "tree-ranking-modified";
   }
+  ProtocolPtr sibling() const override;
   std::pair<StateId, StateId> transition(StateId initiator,
                                          StateId responder) const override;
   std::string describe_state(StateId s) const override;
 
-  const BalancedTree& tree() const { return tree_; }
+  const BalancedTree& tree() const { return shape_->tree; }
   u64 k() const { return k_; }
 
   /// Buffer-line state X_i (1-based, i in [1, 2k]).
@@ -96,6 +98,15 @@ class TreeRankingProtocol final : public Protocol {
   bool apply_cross(StateId initiator, StateId responder) override;
 
  private:
+  /// The immutable part siblings share: the tree and its rules.
+  struct Shape {
+    BalancedTree tree;
+    RuleTable rules;
+  };
+  static std::shared_ptr<const Shape> build_shape(u64 n);
+  TreeRankingProtocol(std::shared_ptr<const Shape> shape, u64 k,
+                      ResetMode mode);
+
   /// 1-based buffer index of extra state s.
   u64 x_index(StateId s) const { return s - num_ranks() + 1; }
   /// Selects the extra state holding the `target`-th buffered agent
@@ -104,7 +115,7 @@ class TreeRankingProtocol final : public Protocol {
   void apply_buffer_pair(StateId first, StateId second);  // R3 / R5
   void apply_buffer_rank(StateId x, StateId rank);        // R4
 
-  BalancedTree tree_;
+  std::shared_ptr<const Shape> shape_;
   u64 k_;
   ResetMode mode_;
 };

@@ -47,10 +47,15 @@ bool Rng::bernoulli(double p) {
 u64 Rng::geometric_failures(double p) {
   if (p >= 1.0) return 0;
   if (p <= 0.0) return kGeometricInfinity;
+  // log1p keeps precision for tiny p, which is the common case near
+  // stabilisation (p ~ 1/n^2).
+  return geometric_failures_log(std::log1p(-p));
+}
+
+u64 Rng::geometric_failures_log(double log_q) {
   const double u = real01_open_left();
-  // failures = floor(ln u / ln(1-p)).  log1p keeps precision for tiny p,
-  // which is the common case near stabilisation (p ~ 1/n^2).
-  const double f = std::floor(std::log(u) / std::log1p(-p));
+  // failures = floor(ln u / ln(1-p)).
+  const double f = std::floor(std::log(u) / log_q);
   if (f >= 1.8e19) return kGeometricInfinity;
   return static_cast<u64>(f);
 }

@@ -8,6 +8,7 @@
 //   * Fisher-Yates shuffling and distinct-pair sampling.
 #pragma once
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -48,6 +49,10 @@ class Rng {
   /// for p = 0 saturates at kGeometricInfinity (caller must treat the
   /// configuration as silent before asking).
   u64 geometric_failures(double p);
+
+  /// geometric_failures(p) for p in (0, 1), given log_q = log1p(-p): the
+  /// same draw and the same result, bit for bit, without the log1p.
+  u64 geometric_failures_log(double log_q);
 
   /// Number of consecutive failures before the first success, conditioned
   /// on a success occurring within the first `bound` trials — a
@@ -90,6 +95,28 @@ class Rng {
 
  private:
   Xoshiro256pp gen_;
+};
+
+/// Rng::geometric_failures with log1p(-p) memoised on the exact double p.
+/// The null-skipping loops draw one gap per event, and the productive
+/// weight behind p often survives an event unchanged (a rule that passes
+/// a collision on, counts (2, 1) -> (1, 2), nets zero), so most draws
+/// skip the log1p.  Draws and results are those of geometric_failures(p).
+class GeometricFailures {
+ public:
+  u64 operator()(Rng& rng, double p) {
+    if (p >= 1.0) return 0;
+    if (p <= 0.0) return Rng::kGeometricInfinity;
+    if (p != p_) {
+      p_ = p;
+      log_q_ = std::log1p(-p);
+    }
+    return rng.geometric_failures_log(log_q_);
+  }
+
+ private:
+  double p_ = 0.0;  // never a key: p <= 0 returns above
+  double log_q_ = 0.0;
 };
 
 }  // namespace pp

@@ -60,11 +60,14 @@ std::vector<double> TrialSet::parallel_times() const {
 
 namespace {
 
-// One trial of the fan-out.  `shared_scheduler` lets run_trial_ranges()
-// build one (immutable, thread-safe) scheduler for the whole trial set
-// instead of once per trial — graph topologies can be O(n^2) to construct.
+// One trial of the fan-out, on a sibling of `prototype` (the spec's
+// protocol, built once per trial set).  `shared_scheduler` likewise lets
+// run_trial_ranges() build one (immutable, thread-safe) scheduler for the
+// whole trial set instead of once per trial — graph topologies can be
+// O(n^2) to construct.
 TrialRecord run_one_trial_impl(const TrialSpec& spec, u64 trial_index,
-                               u64 seed, const Scheduler* shared_scheduler,
+                               u64 seed, const Protocol& prototype,
+                               const Scheduler* shared_scheduler,
                                obs::CounterBlock* block) {
 #if PP_OBS
   const u64 t0_us = obs::now_us();
@@ -79,7 +82,7 @@ TrialRecord run_one_trial_impl(const TrialSpec& spec, u64 trial_index,
   ProtocolPtr p;
   {
     PP_OBS_SPAN("trial-setup", "\"trial\":" + std::to_string(trial_index));
-    p = spec.resolve_factory()();
+    p = prototype.sibling();
     if (spec.init) {
       p->reset(spec.init(*p, rng));
     } else {
@@ -136,7 +139,9 @@ TrialRecord run_one_trial_impl(const TrialSpec& spec, u64 trial_index,
 }  // namespace
 
 TrialRecord run_one_trial(const TrialSpec& spec, u64 trial_index, u64 seed) {
-  return run_one_trial_impl(spec, trial_index, seed, nullptr, nullptr);
+  const ProtocolPtr prototype = spec.resolve_factory()();
+  return run_one_trial_impl(spec, trial_index, seed, *prototype, nullptr,
+                            nullptr);
 }
 
 void run_trial_ranges(const TrialSpec& spec, u64 master_seed,
@@ -157,12 +162,21 @@ void run_trial_ranges(const TrialSpec& spec, u64 master_seed,
   }
   const u64 total = first.back();
 
-  // One scheduler for all trials: Scheduler::run is const and all
+  // One protocol build and one scheduler for all trials.  Every trial
+  // runs on a sibling of the prototype, sharing its immutable tables; the
+  // prototype itself is never reset.  Scheduler::run is const and all
   // per-run state is local, so threads can share the instance.
+  ProtocolPtr prototype;
   SchedulerPtr shared_scheduler;
-  if (spec.engine == EngineKind::kScheduled && total > 0) {
-    const ProtocolPtr probe = spec.resolve_factory()();
-    shared_scheduler = make_scheduler(spec.scheduler, probe->num_agents());
+  if (total > 0) {
+    {
+      PP_OBS_SPAN("protocol-build", "\"trials\":" + std::to_string(total));
+      prototype = spec.resolve_factory()();
+    }
+    if (spec.engine == EngineKind::kScheduled) {
+      shared_scheduler =
+          make_scheduler(spec.scheduler, prototype->num_agents());
+    }
   }
 
 #if PP_OBS
@@ -188,7 +202,7 @@ void run_trial_ranges(const TrialSpec& spec, u64 master_seed,
   }
 
   // Each trial writes only its own record slot and counter block.  The
-  // shared spec is read-only (resolve_factory() copies what it captures).
+  // shared spec, prototype and scheduler are read-only.
   pool.parallel_for(total, [&](u64 k) {
     const u64 i = static_cast<u64>(
         std::upper_bound(first.begin(), first.end(), k) - first.begin() - 1);
@@ -196,7 +210,7 @@ void run_trial_ranges(const TrialSpec& spec, u64 master_seed,
     const u64 t = r.begin + (k - first[i]);
     TrialRecord& rec = r.records[k - first[i]];
     monitor.trial_started(t);
-    rec = run_one_trial_impl(spec, t, seeds.trial_seed(t),
+    rec = run_one_trial_impl(spec, t, seeds.trial_seed(t), *prototype,
                              shared_scheduler.get(),
                              blocks_data == nullptr ? nullptr : blocks_data + k);
     monitor.trial_finished(t, rec.interactions);

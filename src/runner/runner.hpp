@@ -42,7 +42,9 @@ const char* engine_kind_name(EngineKind k);
 struct TrialSpec {
   /// Protocol to instantiate: a factory-registry name ("ag",
   /// "ring-of-traps", ...) with population n, or an explicit factory that
-  /// overrides both.
+  /// overrides both.  The factory is called once per trial set, on the
+  /// calling thread, and each trial runs on a sibling() of its result;
+  /// run_one_trial() calls it once per call.
   std::string protocol;
   u64 n = 0;
   ProtocolFactory factory;
@@ -167,8 +169,9 @@ struct TrialRange {
 /// The fan-out kernel behind run_trials(): runs every trial of `ranges` —
 /// disjoint [begin, end) slices of one trial set of `spec`, bounds set by
 /// the caller — as a single parallel_for on `pool`, one trial per index,
-/// with the standard derive_seed(master_seed, label, trial) derivation
-/// and one scheduler shared by all trials.  Fills each range's records
+/// with the standard derive_seed(master_seed, label, trial) derivation,
+/// one protocol build (each trial runs a sibling of it) and one scheduler
+/// shared by all trials.  Fills each range's records
 /// and counters.  `range_done(i)` (optional) fires once per range, on the
 /// thread that finished range i's last trial, after its counters are
 /// merged; it must not touch the other ranges.

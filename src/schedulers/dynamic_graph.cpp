@@ -429,6 +429,7 @@ template <typename State>
 RunResult markov_loop(State& ms, Protocol& p, Rng& rng,
                       const RunOptions& opt) {
   RunResult r;
+  GeometricFailures gaps;
   while (!p.is_silent()) {
     const double A = no_success_prob(ms.absent_count(), ms.birth);
     const double B = no_success_prob(ms.present_count(), ms.death);
@@ -436,7 +437,7 @@ RunResult markov_loop(State& ms, Protocol& p, Rng& rng,
     const double q = ms.productive_probability();
     const double p_event = f + (1.0 - f) * q;
     if (p_event <= 0.0) break;  // frozen dynamics and locally stuck
-    if (!advance_past_nulls(rng, p_event, opt.max_interactions,
+    if (!advance_past_nulls(rng, gaps, p_event, opt.max_interactions,
                             r.interactions)) {
       break;
     }
@@ -543,6 +544,7 @@ RunResult DynamicGraphScheduler::run_rewire(Protocol& p, Rng& rng,
   es.emplace(*g, p, std::move(placement));
 
   RunResult r;
+  GeometricFailures gaps;
   u64 epoch_end = period;
   const auto rewire = [&] {
     std::vector<StateId> states = es->take_states();
@@ -577,8 +579,8 @@ RunResult DynamicGraphScheduler::run_rewire(Protocol& p, Rng& rng,
     // the epoch boundary (memorylessness makes the fresh restart under
     // the next topology exact).
     const u64 cap = std::min(opt.max_interactions, epoch_end);
-    if (!advance_past_nulls(rng, es->pairs().productive_probability(), cap,
-                            r.interactions)) {
+    if (!advance_past_nulls(rng, gaps, es->pairs().productive_probability(),
+                            cap, r.interactions)) {
       if (r.interactions >= opt.max_interactions) break;
       rewire();
       epoch_end += period;

@@ -11,6 +11,7 @@
 #include "protocols/ag.hpp"
 #include "protocols/factory.hpp"
 #include "protocols/tree_ranking.hpp"
+#include "sparse_weight_protocol.hpp"
 
 namespace pp {
 namespace {
@@ -267,41 +268,12 @@ TEST(Engine, RunResultContractHoldsOnEveryExitPath) {
   }
 }
 
-// A pathological Protocol with an astronomically small productive-weight /
-// pairs ratio: billions of claimed agents, productive weight pinned at 1.
-// The accelerated engine's geometric gap sampler then saturates at
-// Rng::kGeometricInfinity with probability ~1/2 per draw — in Release
-// builds the engine used to treat that sentinel as an ordinary gap length
-// (and PP_DCHECK-aborted in Debug); it must clamp to the interaction
-// budget instead.
-class SparseWeightProtocol final : public Protocol {
- public:
-  explicit SparseWeightProtocol(u64 n) : Protocol(n, /*ranks=*/2,
-                                                  /*extra=*/1) {
-    rules_.resize(2);
-    rules_[0] = Rule{0, 1};
-    rules_[1] = Rule{1, 2};
-  }
-  std::string_view name() const override { return "sparse-weight"; }
-  std::pair<StateId, StateId> transition(StateId i, StateId r) const override {
-    if (i == 2 && r == 2) return {2, 0};  // the one productive pair class
-    return {i, r};
-  }
-
- protected:
-  u64 extra_weight() const override { return count(2) >= 2 ? 1 : 0; }
-  void step_extra(u64 /*target*/, Rng& /*rng*/) override {
-    mutate(2, -1);
-    mutate(0, +1);
-  }
-  bool apply_cross(StateId i, StateId r) override {
-    if (i != 2 || r != 2) return false;
-    mutate(2, -1);
-    mutate(0, +1);
-    return true;
-  }
-};
-
+// SparseWeightProtocol (sparse_weight_protocol.hpp) pins its productive
+// weight at 1 over billions of claimed agents: the accelerated engine's
+// geometric gap sampler then saturates at Rng::kGeometricInfinity with
+// probability ~1/2 per draw — in Release builds the engine used to treat
+// that sentinel as an ordinary gap length (and PP_DCHECK-aborted in
+// Debug); it must clamp to the interaction budget instead.
 TEST(EngineRegression, GeometricInfinityClampsToBudget) {
   // w / pairs = 1 / (4e9 * (4e9 - 1)) ~ 6e-20: the expected geometric gap
   // (~1.6e19) is around the sampler's u64 saturation point, so across

@@ -218,6 +218,7 @@ TEST(ObsWork, ResetMakesNoFenwickUpdates) {
 #else
   for (const auto name : protocol_names()) {
     ProtocolPtr p = make_protocol(name, preferred_population(name, 1000));
+    ProtocolPtr sibling = p->sibling();
     Rng rng(derive_seed(81, name));
     const Configuration c = initial::uniform_random(*p, rng);
     CounterBlock block;
@@ -225,6 +226,7 @@ TEST(ObsWork, ResetMakesNoFenwickUpdates) {
       obs::ScopedCounters scope(&block);
       p->reset(c);
       p->reset(c);
+      sibling->reset(c);
     }
     EXPECT_EQ(block.get(Counter::kFenwickUpdates), 0u) << name;
   }

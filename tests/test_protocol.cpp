@@ -1,18 +1,25 @@
 // The Protocol backbone's own bookkeeping: the two sum trees that read
 // their leaves from counts() in place, checked against brute force after
-// every kind of mutation, and reset()'s by-value contract.
+// every kind of mutation, reset()'s by-value contract, and sibling()s that
+// share the immutable tables yet run like fresh builds.
 #include "core/protocol.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "core/initial.hpp"
 #include "protocols/factory.hpp"
+#include "protocols/line_of_traps.hpp"
+#include "protocols/ring_of_traps.hpp"
+#include "protocols/tree_ranking.hpp"
 #include "rng/seed_sequence.hpp"
+#include "sparse_weight_protocol.hpp"
 
 namespace pp {
 namespace {
@@ -156,6 +163,118 @@ TEST(ProtocolReset, ResetAgainMatchesAFreshReset) {
     }
     EXPECT_EQ(reused->productive_weight(), fresh->productive_weight()) << name;
     EXPECT_EQ(r1.bits(), r2.bits()) << name;
+  }
+}
+
+// ---- siblings ------------------------------------------------------------
+
+// The derived class's shared geometry (layout or tree), or nullptr for a
+// protocol whose only table is its rules.
+const void* geometry_of(const Protocol& p) {
+  if (const auto* r = dynamic_cast<const RingOfTrapsProtocol*>(&p)) {
+    return &r->layout();
+  }
+  if (const auto* l = dynamic_cast<const LineOfTrapsProtocol*>(&p)) {
+    return &l->layout();
+  }
+  if (const auto* t = dynamic_cast<const TreeRankingProtocol*>(&p)) {
+    return &t->tree();
+  }
+  return nullptr;
+}
+
+struct Build {
+  std::string where;
+  std::function<ProtocolPtr()> fresh;
+};
+
+std::vector<Build> sibling_cases() {
+  std::vector<Build> out;
+  for (const auto name : protocol_names()) {
+    for (const u64 hint : {9, 1000, 5000}) {
+      const u64 n = preferred_population(name, hint);
+      out.push_back({std::string(name) + " n=" + std::to_string(n),
+                     [name, n] { return make_protocol(name, n); }});
+    }
+  }
+  out.push_back({"single-line",
+                 [] { return std::make_unique<SingleLineProtocol>(40, 4, 5); }});
+  out.push_back({"sparse-weight",
+                 [] { return std::make_unique<SparseWeightProtocol>(50); }});
+  return out;
+}
+
+// Loads a uniform random start drawn from `seed` and runs the accelerated
+// engine for at most 4n^2 interactions.
+RunResult seeded_run(Protocol& p, u64 seed, Rng& rng) {
+  rng = Rng(seed);
+  p.reset(initial::uniform_random(p, rng));
+  RunOptions opt;
+  opt.max_interactions = 4 * p.num_agents() * p.num_agents();
+  return run_accelerated(p, rng, opt);
+}
+
+TEST(ProtocolSibling, SharesTablesAndRunsLikeAFreshBuild) {
+  for (const Build& b : sibling_cases()) {
+    const ProtocolPtr prototype = b.fresh();
+    const ProtocolPtr sib = prototype->sibling();
+    ASSERT_NE(sib.get(), prototype.get()) << b.where;
+    EXPECT_EQ(sib->name(), prototype->name()) << b.where;
+    EXPECT_EQ(sib->num_agents(), prototype->num_agents()) << b.where;
+    EXPECT_EQ(sib->num_states(), prototype->num_states()) << b.where;
+    EXPECT_EQ(sib->rule_table(), prototype->rule_table()) << b.where;
+    EXPECT_EQ(sib->rule_table()->size(), prototype->num_ranks()) << b.where;
+    EXPECT_EQ(geometry_of(*sib), geometry_of(*prototype)) << b.where;
+    EXPECT_TRUE(sib->counts().empty()) << b.where << ": loaded before reset";
+
+    const ProtocolPtr fresh = b.fresh();
+    EXPECT_NE(fresh->rule_table(), prototype->rule_table()) << b.where;
+    for (u64 seed = 1; seed <= 3; ++seed) {
+      Rng r1(0);
+      Rng r2(0);
+      const RunResult a = seeded_run(*sib, derive_seed(97, b.where, seed), r1);
+      const RunResult f =
+          seeded_run(*fresh, derive_seed(97, b.where, seed), r2);
+      EXPECT_EQ(a.interactions, f.interactions) << b.where << " " << seed;
+      EXPECT_EQ(a.productive_steps, f.productive_steps) << b.where;
+      EXPECT_EQ(a.silent, f.silent) << b.where;
+      EXPECT_EQ(a.valid, f.valid) << b.where;
+      EXPECT_EQ(a.aborted, f.aborted) << b.where;
+      EXPECT_EQ(a.parallel_time, f.parallel_time) << b.where;
+      EXPECT_EQ(sib->counts(), fresh->counts()) << b.where << " " << seed;
+      EXPECT_EQ(r1.bits(), r2.bits()) << b.where << " " << seed;
+    }
+    EXPECT_TRUE(prototype->counts().empty()) << b.where;
+  }
+}
+
+TEST(ProtocolSibling, MutatingOneSiblingLeavesTheOtherUnchanged) {
+  for (const Build& b : sibling_cases()) {
+    ProtocolPtr prototype = b.fresh();
+    const ProtocolPtr one = prototype->sibling();
+    const ProtocolPtr two = prototype->sibling();
+    Rng rng(derive_seed(98, b.where));
+    const Configuration start = initial::uniform_random(*one, rng);
+    one->reset(start);
+    two->reset(start);
+    const u64 weight = two->productive_weight();
+    for (int i = 0; i < 100 && !one->is_silent(); ++i) {
+      one->step_productive(rng);
+      one->step_uniform(rng);
+    }
+    ASSERT_NE(one->counts(), start.counts) << b.where << ": nothing moved";
+    EXPECT_EQ(two->counts(), start.counts) << b.where;
+    EXPECT_EQ(two->productive_weight(), weight) << b.where;
+    EXPECT_TRUE(prototype->counts().empty()) << b.where;
+    // The siblings keep the tables alive once the prototype is gone.
+    prototype.reset();
+    const ProtocolPtr third = two->sibling();
+    EXPECT_EQ(third->rule_table(), one->rule_table()) << b.where;
+    third->reset(start);
+    for (int i = 0; i < 100 && !third->is_silent(); ++i) {
+      third->step_productive(rng);
+    }
+    EXPECT_EQ(two->counts(), start.counts) << b.where;
   }
 }
 

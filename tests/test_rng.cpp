@@ -98,6 +98,24 @@ TEST(Rng, GeometricFailuresEdgeCases) {
   EXPECT_EQ(rng.geometric_failures(2.0), 0u);
 }
 
+TEST(Rng, MemoisedGeometricFailuresMatchesTheUnmemoisedDraws) {
+  // Runs of repeated p (memo hits), changes (misses), the p <= 0 and
+  // p >= 1 edges that draw nothing, and a tiny p that saturates.
+  const std::vector<double> ps = {0.25, 0.25, 0.25, 1e-3, 1e-3, 0.0,
+                                  1e-3, 1.0,  0.25, 1e-19, 1e-19, 2.0,
+                                  0.5,  -1.0, 0.5,  1e-3};
+  Rng plain(13);
+  Rng memo(13);
+  GeometricFailures gaps;
+  for (int round = 0; round < 50; ++round) {
+    for (u64 i = 0; i < ps.size(); ++i) {
+      ASSERT_EQ(gaps(memo, ps[i]), plain.geometric_failures(ps[i]))
+          << "round " << round << " p=" << ps[i];
+    }
+  }
+  EXPECT_EQ(memo.bits(), plain.bits());
+}
+
 TEST(Rng, GeometricFailuresMeanMatchesTheory) {
   // E[failures] = (1-p)/p.
   Rng rng(11);

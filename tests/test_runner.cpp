@@ -253,6 +253,38 @@ TEST(Runner, ExplicitFactoryOverridesRegistryName) {
   EXPECT_EQ(set.stats.invalid, 0u);
 }
 
+TEST(Runner, FactoryRunsOncePerTrialSet) {
+  // One prototype per trial set, shared across trials and threads: each
+  // trial runs on a sibling, and the scheduled engine sizes its shared
+  // scheduler from the same prototype instead of a second build.
+  for (const EngineKind engine :
+       {EngineKind::kAccelerated, EngineKind::kScheduled}) {
+    for (const u64 threads : {1u, 4u}) {
+      std::atomic<u64> calls{0};
+      TrialSpec spec;
+      spec.factory = [&calls] {
+        calls.fetch_add(1);
+        return make_protocol("ring-of-traps", 30);
+      };
+      spec.engine = engine;
+      spec.label = "factory-calls";
+      RunnerOptions opt;
+      opt.trials = 16;
+      opt.threads = threads;
+      const TrialSet set = run_trials(spec, opt);
+      EXPECT_EQ(set.stats.trials, 16u);
+      EXPECT_EQ(calls.load(), 1u)
+          << engine_kind_name(engine) << " threads=" << threads;
+      // The siblings reproduce the per-trial replay, which builds its own.
+      for (const TrialRecord& r : set.records) {
+        const TrialRecord replay = run_one_trial(spec, r.trial, r.seed);
+        EXPECT_EQ(replay.interactions, r.interactions) << r.trial;
+        EXPECT_EQ(replay.productive_steps, r.productive_steps) << r.trial;
+      }
+    }
+  }
+}
+
 // ---- sinks ---------------------------------------------------------------
 
 TEST(Sink, CsvWritesHeaderAndOneRowPerTrial) {
