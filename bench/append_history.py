@@ -15,6 +15,7 @@ A row looks like:
       "wall_seconds": S, "points_detail": [
         {"point": "...", "n": N, "param": P, "trials": T,
          "mean_parallel_time": M, "timeouts": K,
+         "total_interactions": I, "total_productive_steps": P,
          "trials_per_sec": R}, ...]}]}
 
 Appending is idempotent per sha: re-running on the same commit replaces
@@ -68,6 +69,8 @@ def summarise(path):
             "trials": p["trials"],
             "mean_parallel_time": p["mean_parallel_time"],
             "timeouts": p["timeouts"],
+            "total_interactions": p.get("total_interactions"),
+            "total_productive_steps": p.get("total_productive_steps"),
             "trials_per_sec": p["trials_per_sec"],
         }
         for p in points

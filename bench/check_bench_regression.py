@@ -5,11 +5,13 @@ Compares the current run's machine-readable bench records against the
 committed baselines in bench/baselines/ and fails (exit 1) when any
 matched measurement point differs:
 
-  * mean parallel stabilisation time, timeouts and invalid count are
-    compared by equality.  The runner's per-trial seed streams make these
+  * mean parallel stabilisation time, timeouts, invalid count and the
+    exact integer sums of interactions and productive steps over the
+    point's trials are compared by equality.  The runner's per-trial seed streams make these
     numbers *deterministic* for a fixed (seed, trials) — identical across
     thread counts, build types and machines — so any mismatch, up or
     down, is a semantic change in the simulation, never scheduling noise.
+    A mean can hide two changes that cancel out; the sums cannot.
     --factor only labels how large a mean mismatch is;
   * optionally, trials/s fell by more than --throughput-factor.  Off by
     default: wall-clock throughput is machine-dependent, so it only means
@@ -62,7 +64,12 @@ import sys
 
 # The stable, machine-independent fields a baseline keeps per point.
 STABLE_FIELDS = ("point", "n", "param", "trials", "mean_parallel_time",
-                 "timeouts", "invalid")
+                 "timeouts", "invalid", "total_interactions",
+                 "total_productive_steps")
+# Pinned by equality besides the mean; a field absent on one side reads
+# None and fails against a present one.
+EXACT_FIELDS = ("timeouts", "invalid", "total_interactions",
+                "total_productive_steps")
 # Kept for human reference and --throughput-factor; machine-dependent.
 REFERENCE_FIELDS = ("trials_per_sec",)
 
@@ -144,11 +151,11 @@ def compare(name, base_points, cur_points, factor, throughput_factor,
                 f"  {fmt_key(key)}: mean parallel time {ct!r} vs baseline "
                 f"{bt!r} ({ratio_label(bt, ct, factor)})"
             )
-        for field in ("timeouts", "invalid"):
-            if cur[field] != base[field]:
+        for field in EXACT_FIELDS:
+            if cur.get(field) != base.get(field):
                 failures.append(
-                    f"  {fmt_key(key)}: {field} {cur[field]} vs baseline "
-                    f"{base[field]}"
+                    f"  {fmt_key(key)}: {field} {cur.get(field)} vs "
+                    f"baseline {base.get(field)}"
                 )
         if throughput_factor > 0:
             btp = base.get("trials_per_sec") or 0

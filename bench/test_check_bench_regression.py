@@ -25,10 +25,12 @@ GATE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "check_bench_regression.py")
 
 
-def write_bench(dir_, name, points, max_n=0):
+def write_bench(dir_, name, points, max_n=0, bump_sum=None):
     """Writes a minimal BENCH_<name>.json: run header + point records.
 
-    Each point is (label, n, mean) or (label, n, mean, timeouts).
+    Each point is (label, n, mean) or (label, n, mean, timeouts).  A
+    point's integer sums are 1000·n interactions and 10·n productive
+    steps; bump_sum = (label, field) adds 1 to that point's field.
     """
     path = os.path.join(dir_, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as f:
@@ -36,12 +38,16 @@ def write_bench(dir_, name, points, max_n=0):
                             "run_id": 1, "seed": 42, "threads": 1,
                             "max_n": max_n, "size": "quick"}) + "\n")
         for (label, n, mean, *timeouts) in points:
-            f.write(json.dumps({
+            rec = {
                 "kind": "point", "run_id": 1, "point": label, "n": n,
                 "param": 0, "trials": 3, "wall_seconds": 0.1,
                 "trials_per_sec": 30.0, "mean_parallel_time": mean,
                 "timeouts": timeouts[0] if timeouts else 0,
-                "invalid": 0}) + "\n")
+                "invalid": 0, "total_interactions": 1000 * n,
+                "total_productive_steps": 10 * n}
+            if bump_sum is not None and bump_sum[0] == label:
+                rec[bump_sum[1]] += 1
+            f.write(json.dumps(rec) + "\n")
     return path
 
 
@@ -128,6 +134,32 @@ def main():
         code, out = run_gate(cur_dir, base_dir)
         expect(code == 1 and "timeouts 1 vs baseline 0" in out,
                "a changed timeouts count fails the gate", out)
+
+        # The exact integer sums are pinned by equality too: an off-by-one
+        # fails with the field named, mean unchanged.
+        for field, base in (("total_interactions", 100000),
+                            ("total_productive_steps", 1000)):
+            write_bench(cur_dir, "t", full, bump_sum=("s1-b", field))
+            code, out = run_gate(cur_dir, base_dir)
+            expect(code == 1 and
+                   f"{field} {base + 1} vs baseline {base}" in out,
+                   f"a changed {field} fails the gate, labelled", out)
+            expect("s1-b" in out and "mean parallel time" not in out,
+                   f"the {field} failure names its point alone", out)
+
+        # A baseline carrying the sums fails a record that lacks them.
+        write_bench(cur_dir, "t", full)
+        path = os.path.join(cur_dir, "BENCH_t.json")
+        with open(path, encoding="utf-8") as f:
+            lines = [json.loads(l) for l in f]
+        for rec in lines:
+            rec.pop("total_productive_steps", None)
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(json.dumps(rec) + "\n" for rec in lines)
+        code, out = run_gate(cur_dir, base_dir)
+        expect(code == 1 and "total_productive_steps None vs baseline" in out,
+               "a record without the sums fails against a baseline with "
+               "them", out)
 
         # Identical records still pass after the failures above.
         write_bench(cur_dir, "t", full)

@@ -130,7 +130,17 @@ int main(int argc, char** argv) {
                  args.protocol.c_str());
     return 2;
   }
-  const pp::u64 n = pp::preferred_population(args.protocol, args.n);
+  // Reject before snapping: a line-of-traps snap walks canonical sizes up
+  // to n, and the snap itself may land past the limit.
+  const pp::u64 n = args.n > pp::Protocol::kMaxAgents
+                        ? args.n
+                        : pp::preferred_population(args.protocol, args.n);
+  if (n > pp::Protocol::kMaxAgents) {
+    std::fprintf(stderr, "--n=%llu is past the largest population (%llu)\n",
+                 static_cast<unsigned long long>(n),
+                 static_cast<unsigned long long>(pp::Protocol::kMaxAgents));
+    return 2;
+  }
   const pp::ProtocolPtr protocol = pp::make_protocol(args.protocol, n);
   std::string error;
   const pp::ConfigGenerator gen = make_generator(args.start, *protocol, error);

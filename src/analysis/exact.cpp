@@ -28,12 +28,12 @@ ExactAnalysis analyze_exact(const Protocol& p, const Configuration& start,
   const double pairs = static_cast<double>(n) * static_cast<double>(n - 1);
 
   // --- 1. enumerate the reachable set (BFS over configurations) --------
-  std::map<std::vector<u64>, u64> index_of;
-  std::vector<std::vector<u64>> configs;
+  std::map<std::vector<Count>, u64> index_of;
+  std::vector<std::vector<Count>> configs;
   std::vector<Row> rows;
   std::queue<u64> frontier;
 
-  auto intern = [&](const std::vector<u64>& c) -> u64 {
+  auto intern = [&](const std::vector<Count>& c) -> u64 {
     const auto [it, inserted] = index_of.emplace(c, configs.size());
     if (inserted) {
       PP_ASSERT_MSG(configs.size() < opt.max_configurations,
@@ -50,10 +50,10 @@ ExactAnalysis analyze_exact(const Protocol& p, const Configuration& start,
     const u64 idx = frontier.front();
     frontier.pop();
     // Copy: `configs` may reallocate while we intern successors.
-    const std::vector<u64> c = configs[idx];
+    const std::vector<Count> c = configs[idx];
     // Aggregate successor weights before storing (several ordered pairs
     // can lead to the same configuration).
-    std::map<std::vector<u64>, u64> successors;
+    std::map<std::vector<Count>, u64> successors;
     u64 total_weight = 0;
     for (StateId s1 = 0; s1 < states; ++s1) {
       if (c[s1] == 0) continue;
@@ -63,7 +63,7 @@ ExactAnalysis analyze_exact(const Protocol& p, const Configuration& start,
         const auto [o1, o2] = p.transition(s1, s2);
         if (o1 == s1 && o2 == s2) continue;
         const u64 w = c[s1] * c2;
-        std::vector<u64> next = c;
+        std::vector<Count> next = c;
         --next[s1];
         --next[s2];
         ++next[o1];

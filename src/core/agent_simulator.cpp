@@ -5,7 +5,7 @@
 namespace pp {
 
 u64 reference_productive_weight(const Protocol& p,
-                                const std::vector<u64>& counts) {
+                                const std::vector<Count>& counts) {
   const u64 states = p.num_states();
   PP_ASSERT(counts.size() == states);
   u64 w = 0;

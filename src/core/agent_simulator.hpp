@@ -30,7 +30,7 @@ namespace pp {
 /// δ(s1,s2) != (s1,s2) of c1 * (c2 - [s1 == s2]).  Must equal
 /// Protocol::productive_weight() in every reachable configuration.
 u64 reference_productive_weight(const Protocol& p,
-                                const std::vector<u64>& counts);
+                                const std::vector<Count>& counts);
 
 class AgentSimulator {
  public:
@@ -42,7 +42,7 @@ class AgentSimulator {
   const std::vector<StateId>& agents() const { return agents_; }
 
   /// Current per-state counts.
-  const std::vector<u64>& counts() const { return counts_; }
+  const std::vector<Count>& counts() const { return counts_; }
 
   /// Applies one uniformly random ordered-pair interaction; returns true
   /// iff some agent changed state.
@@ -62,7 +62,7 @@ class AgentSimulator {
  private:
   const Protocol& protocol_;
   std::vector<StateId> agents_;
-  std::vector<u64> counts_;
+  std::vector<Count> counts_;
   bool dirty_ = true;       // configuration changed since last silence scan
   bool silent_ = false;     // valid only when !dirty_
 };

@@ -18,10 +18,10 @@ namespace pp {
 struct Configuration {
   /// counts[s] = number of agents in state s; size = number of states
   /// (rank states first, then extra states).
-  std::vector<u64> counts;
+  std::vector<Count> counts;
 
   Configuration() = default;
-  explicit Configuration(std::vector<u64> c) : counts(std::move(c)) {}
+  explicit Configuration(std::vector<Count> c) : counts(std::move(c)) {}
 
   u64 num_states() const { return counts.size(); }
 

@@ -1,6 +1,7 @@
 #include "core/initial.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/assert.hpp"
 
@@ -53,9 +54,11 @@ Configuration k_distant(u64 num_ranks, u64 num_states, u64 k, Rng& rng) {
 
 Configuration all_in_state(u64 num_agents, u64 num_states, StateId s) {
   PP_ASSERT(s < num_states);
+  PP_ASSERT_MSG(num_agents <= std::numeric_limits<Count>::max(),
+                "a state count must fit Count");
   Configuration c;
   c.counts.assign(num_states, 0);
-  c.counts[s] = num_agents;
+  c.counts[s] = static_cast<Count>(num_agents);
   return c;
 }
 

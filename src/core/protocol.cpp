@@ -14,12 +14,17 @@ Protocol::Protocol(u64 num_agents, u64 num_ranks, u64 num_extra,
       rules_(std::move(rules)) {
   check_agents(n_agents_);
   PP_ASSERT_MSG(n_ranks_ >= 1, "need at least one rank state");
+  PP_ASSERT_MSG(n_states_ <= kNoState, "state ids must fit StateId");
   PP_ASSERT_MSG(rules_ != nullptr && rules_->size() == n_ranks_,
                 "rule table must hold one rule per rank state");
 }
 
-void Protocol::check_agents(u64 num_agents) {
+u64 Protocol::check_agents(u64 num_agents) {
   PP_ASSERT_MSG(num_agents >= 2, "need at least two agents to interact");
+  PP_ASSERT_MSG(num_agents <= kMaxAgents,
+                "population too large: n(n - 1) ordered pairs exceed the "
+                "sum trees' bound (Protocol::kMaxAgents)");
+  return num_agents;
 }
 
 void Protocol::reset(Configuration c) {
@@ -52,7 +57,7 @@ void Protocol::mutate(StateId s, i64 delta) {
   }
   const u64 before = counts_[s];
   const u64 after = static_cast<u64>(static_cast<i64>(before) + delta);
-  counts_[s] = after;
+  counts_[s] = static_cast<Count>(after);  // after <= n <= kMaxAgents
   if (count_live_) count_all_.add(s, delta);
   if (s < n_ranks_) {
     // c(c - 1) changes by this modular u64 difference, read as signed.

@@ -7,7 +7,8 @@
 // break silence.  All four protocols in this library therefore share the
 // same backbone:
 //
-//   * one per-state count array, the configuration's only copy;
+//   * one per-state count array (32-bit Count), the configuration's only
+//     copy;
 //   * a per-rank-state table of same-state rules (immutable, and shared
 //     with every sibling() — see below), with a sum tree of
 //     "productive weights" c_s(c_s - 1) (the number of ordered pairs of
@@ -36,6 +37,7 @@
 // trial set and runs every trial, on every thread, on a sibling of it.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -70,6 +72,14 @@ class Protocol {
   /// several threads at once is safe.
   virtual ProtocolPtr sibling() const = 0;
 
+  /// The largest population a protocol accepts: the largest n whose
+  /// n(n - 1) ordered pairs, the most any sum tree holds, fit
+  /// SumLevels::kMaxTotal.  Every count is at most n, so it fits Count.
+  static constexpr u64 kMaxAgents = 3'037'000'500;
+  static_assert(kMaxAgents * (kMaxAgents - 1) <= SumLevels::kMaxTotal &&
+                (kMaxAgents + 1) * kMaxAgents > SumLevels::kMaxTotal);
+  static_assert(kMaxAgents <= std::numeric_limits<Count>::max());
+
   /// Population size n; equals the number of rank states for ranking
   /// protocols (auxiliary sub-protocols such as the single-line model of
   /// §4.1 may differ).
@@ -85,7 +95,7 @@ class Protocol {
   void reset(Configuration c);
 
   /// Current configuration as per-state counts (empty before reset()).
-  const std::vector<u64>& counts() const { return counts_; }
+  const std::vector<Count>& counts() const { return counts_; }
   Configuration configuration() const { return Configuration(counts_); }
 
   /// Number of ordered agent pairs whose interaction changes the
@@ -213,10 +223,10 @@ class Protocol {
   Protocol(u64 num_agents, u64 num_ranks, u64 num_extra,
            std::shared_ptr<const RuleTable> rules);
 
-  /// Aborts unless `num_agents` admits an interaction (>= 2 agents).  The
-  /// constructor checks this; shape builders that run before it and
-  /// would fail less clearly on a tiny n check first.
-  static void check_agents(u64 num_agents);
+  /// Aborts unless `num_agents` is in [2, kMaxAgents]; returns it.  The
+  /// constructor checks this, and every shape builder checks first,
+  /// before it allocates anything O(n).
+  static u64 check_agents(u64 num_agents);
 
 
   /// --- hooks for protocols with extra states ------------------------
@@ -259,9 +269,9 @@ class Protocol {
   u64 n_ranks_;
   u64 n_states_;
   std::shared_ptr<const RuleTable> rules_;  // immutable, shared by siblings
-  std::vector<u64> counts_;  // the configuration; the trees' leaves
-  u64 extra_agents_ = 0;     // agents in extra states
-  SumLevels rank_weight_;    // rank states: c_s * (c_s - 1)
+  std::vector<Count> counts_;  // the configuration; the trees' leaves
+  u64 extra_agents_ = 0;       // agents in extra states
+  SumLevels rank_weight_;      // rank states: c_s * (c_s - 1)
   // All states: c_s.  Only the uniform scheduler, churn and the extra
   // states' rank sampling read it, so it is built lazily and, once live,
   // kept current by mutate().

@@ -13,23 +13,24 @@
 // a same-state rank rule costs at most three updates of the weight tree.
 //
 // Layout.  Level 0 is the leaves, read in place through an accessor w(i)
-// (no copy, no padding): Fenwick's own vector, or c(c - 1) and c computed
-// from a protocol's counts.  SumLevels holds the levels above: one sum per
-// eight entries of the level below, until a level fits in one node.  A
-// node is eight sibling u64s: 64 bytes, one cache line's worth.  The
-// internal levels share one flat, zero-padded buffer (about n/7 entries)
-// that is reused while the size stays the same.  find() reads one node per
-// level and picks the child with a branch-free scan; add() touches one
-// entry per level.  Nodes are not line-aligned: the leaves are the
+// (no copy, no padding): Fenwick's own u64 vector, or c(c - 1) and c
+// computed in u64 from a protocol's 32-bit counts (a leaf node of counts
+// is 32 bytes).  SumLevels holds the levels above: one sum per eight
+// entries of the level below, until a level fits in one node.  An
+// internal node is eight sibling u64s: 64 bytes, one cache line's worth.
+// The internal levels share one flat, zero-padded buffer (about n/7
+// entries) that is reused while the size stays the same.  find() reads
+// one node per level and picks the child with a branch-free scan; add()
+// touches one entry per level.  Nodes are not line-aligned: the leaves are the
 // caller's array, and aligning the internal levels measured no faster (a
 // 64-byte-aligned allocator also raised peak RSS at n = 10⁶).
 //
-// Why.  At n = 10⁶ a binary walk is ~20 dependent steps, each with a
+// Why.  At n = 10⁶ a binary walk was ~20 dependent steps, each with a
 // data-dependent branch, over a tree and a leaf mirror of 8 MB apiece;
-// the 8-ary tree reads 7 nodes over the leaves plus ~1.1 MB of sums.  On
-// 1-distant starts at n = 10⁶ (4 threads, 4-core x86 host) a productive
-// event went from 403–433 to 196–205 ns for ring-of-traps and from
-// 145–159 to 109–113 ns for ag.
+// the 8-ary tree reads 7 nodes over one 4 MB count array plus ~1.1 MB of
+// sums.  On 1-distant starts at n = 10⁶ (4 threads, 4-core x86 host) the
+// 8-ary tree took a productive event from 403–433 to 196–205 ns for
+// ring-of-traps and from 145–159 to 109–113 ns for ag.
 #pragma once
 
 #include <algorithm>
@@ -63,15 +64,19 @@ u64 pick_child(const Weight& w, u64 first, u64 count, u64& remaining) {
   return child;
 }
 
-/// Leaf accessors over a vector: w = c, or w = c(c - 1) ordered pairs (in
-/// u64 arithmetic 0 at c = 0 too, so a node scan needs no branch).
+/// Leaf accessors over a per-state count array: w = c, or w = c(c - 1)
+/// ordered pairs.  The product is taken in u64, so it is exact for every
+/// 32-bit count and 0 at c = 0 too (a node scan needs no branch).
 struct Leaves {
-  const std::vector<u64>& c;
+  const std::vector<Count>& c;
   u64 operator()(u64 i) const { return c[i]; }
 };
 struct PairLeaves {
-  const std::vector<u64>& c;
-  u64 operator()(u64 i) const { return c[i] * (c[i] - 1); }
+  const std::vector<Count>& c;
+  u64 operator()(u64 i) const {
+    const u64 x = c[i];
+    return x * (x - 1);
+  }
 };
 
 /// The levels of an 8-ary sum tree above its leaves.  The leaf weights
@@ -211,7 +216,7 @@ class Fenwick {
   /// difference from reset() + n add()s.
   void assign(std::vector<u64> weights) {
     leaf_ = std::move(weights);
-    tree_.build(leaf_.size(), Leaves{leaf_});
+    tree_.build(leaf_.size(), Own{leaf_});
   }
 
   u64 size() const { return tree_.size(); }
@@ -232,10 +237,15 @@ class Fenwick {
   /// Sets index i to `w` (checked <= kMaxTotal).
   void set(u64 i, u64 w);
 
-  u64 prefix(u64 i) const { return tree_.prefix(i, Leaves{leaf_}); }
-  u64 find(u64 target) const { return tree_.find(target, Leaves{leaf_}); }
+  u64 prefix(u64 i) const { return tree_.prefix(i, Own{leaf_}); }
+  u64 find(u64 target) const { return tree_.find(target, Own{leaf_}); }
 
  private:
+  struct Own {
+    const std::vector<u64>& w;
+    u64 operator()(u64 i) const { return w[i]; }
+  };
+
   SumLevels tree_;
   std::vector<u64> leaf_;
 };

@@ -16,7 +16,8 @@ std::shared_ptr<const Protocol::RuleTable> ag_rules(u64 n) {
 
 }  // namespace
 
-AgProtocol::AgProtocol(u64 n) : AgProtocol(n, ag_rules(n)) {}
+AgProtocol::AgProtocol(u64 n)
+    : AgProtocol(n, ag_rules(check_agents(n))) {}
 
 AgProtocol::AgProtocol(u64 n, std::shared_ptr<const RuleTable> rules)
     : Protocol(n, n, /*num_extra=*/0, std::move(rules)) {}

@@ -103,7 +103,7 @@ std::pair<StateId, StateId> LineOfTrapsProtocol::transition(
 namespace {
 
 LineOutcome line_outcome_of_counts(const LineLayout& layout,
-                                   std::span<const u64> counts, u64 l) {
+                                   std::span<const Count> counts, u64 l) {
   const u64 traps = layout.traps_per_line();
   std::vector<u64> beta(traps, 0);
   std::vector<u64> gamma(traps, 0);

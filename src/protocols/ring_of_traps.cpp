@@ -5,10 +5,10 @@
 namespace pp {
 
 RingOfTrapsProtocol::RingOfTrapsProtocol(u64 n)
-    : RingOfTrapsProtocol(build_shape(RingLayout(n))) {}
+    : RingOfTrapsProtocol(build_shape(RingLayout(check_agents(n)))) {}
 
 RingOfTrapsProtocol::RingOfTrapsProtocol(u64 n, u64 traps)
-    : RingOfTrapsProtocol(build_shape(RingLayout(n, traps))) {}
+    : RingOfTrapsProtocol(build_shape(RingLayout(check_agents(n), traps))) {}
 
 RingOfTrapsProtocol::RingOfTrapsProtocol(std::shared_ptr<const Shape> shape)
     : Protocol(shape->layout.num_states(), shape->layout.num_states(),

@@ -35,6 +35,7 @@ ProtocolPtr TreeRankingProtocol::sibling() const {
 
 std::shared_ptr<const TreeRankingProtocol::Shape>
 TreeRankingProtocol::build_shape(u64 n) {
+  check_agents(n);
   auto shape = std::make_shared<Shape>(Shape{BalancedTree(n), RuleTable(n)});
   const BalancedTree& tree = shape->tree;
   RuleTable& rules = shape->rules;

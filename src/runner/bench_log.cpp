@@ -74,7 +74,9 @@ void BenchLog::append_point(const std::string& point, u64 n, double param,
   std::snprintf(num, sizeof(num), "%.17g", set.stats.parallel_time.mean());
   f << ",\"mean_parallel_time\":" << num
     << ",\"timeouts\":" << set.stats.timeouts
-    << ",\"invalid\":" << set.stats.invalid;
+    << ",\"invalid\":" << set.stats.invalid
+    << ",\"total_interactions\":" << set.stats.total_interactions
+    << ",\"total_productive_steps\":" << set.stats.total_productive_steps;
   // Counters ride along only when something was recorded, so BENCH records
   // from a POPRANK_OBS=OFF build (and the committed regression baselines)
   // keep their exact pre-obs schema.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "core/initial.hpp"
@@ -44,6 +45,12 @@ void AggregateStats::fold(const TrialRecord& r) {
   parallel_time.push(r.parallel_time);
   interactions.push(static_cast<double>(r.interactions));
   productive_steps.push(static_cast<double>(r.productive_steps));
+  const bool overflow =
+      __builtin_add_overflow(total_interactions, r.interactions,
+                             &total_interactions) ||
+      __builtin_add_overflow(total_productive_steps, r.productive_steps,
+                             &total_productive_steps);
+  PP_ASSERT_MSG(!overflow, "trial-set interaction sum overflows u64");
 }
 
 Summary TrialSet::summary() const {
@@ -83,11 +90,16 @@ TrialRecord run_one_trial_impl(const TrialSpec& spec, u64 trial_index,
   {
     PP_OBS_SPAN("trial-setup", "\"trial\":" + std::to_string(trial_index));
     p = prototype.sibling();
-    if (spec.init) {
-      p->reset(spec.init(*p, rng));
-    } else {
-      p->reset(initial::uniform_random(*p, rng));
+    Configuration start;
+    {
+      PP_OBS_SPAN("protocol-init",
+                  "\"trial\":" + std::to_string(trial_index));
+      start = spec.init ? spec.init(*p, rng)
+                        : initial::uniform_random(*p, rng);
     }
+    PP_OBS_SPAN("protocol-reset",
+                "\"trial\":" + std::to_string(trial_index));
+    p->reset(std::move(start));
   }
   RunResult r;
   {

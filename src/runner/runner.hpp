@@ -104,6 +104,11 @@ struct AggregateStats {
   RunningStat parallel_time;
   RunningStat interactions;
   RunningStat productive_steps;
+  /// Exact sums over the set, kept apart from the double RunningStats:
+  /// a mean can hide two changes that cancel, a sum cannot.  Overflow
+  /// is checked.
+  u64 total_interactions = 0;
+  u64 total_productive_steps = 0;
 
   void fold(const TrialRecord& r);
 };

@@ -15,7 +15,7 @@ struct Candidate {
 };
 
 // Occupied-rank delta of firing a candidate on `counts`.
-i64 rank_coverage_delta(const std::vector<u64>& counts, u64 num_ranks,
+i64 rank_coverage_delta(const std::vector<Count>& counts, u64 num_ranks,
                         const Candidate& c) {
   // Occupancy can only flip at the (<= 4 distinct) touched states.
   auto occupied_after = [&](StateId s) {
@@ -57,7 +57,7 @@ RunResult AdversarialScheduler::run(Protocol& p, Rng& rng,
   StateId stubborn_s1 = kNoState, stubborn_s2 = kNoState;
 
   while (r.interactions < opt.max_interactions) {
-    const std::vector<u64>& counts = p.counts();
+    const std::vector<Count>& counts = p.counts();
     candidates.clear();
     u64 total_weight = 0;
     for (StateId s1 = 0; s1 < states; ++s1) {

@@ -504,7 +504,7 @@ void TrapKernelSampler::TrapDeltas::add(u64 trap_id, i64 da, i64 de) {
 
 void TrapKernelSampler::count_change(StateId s, i64 delta, TrapDeltas& d) {
   PP_DCHECK(delta == 1 || delta == -1);
-  counts_[s] += static_cast<u64>(delta);
+  counts_[s] += static_cast<Count>(delta);  // ±1, modulo 2^32
   if (s < num_ranks_) {
     const u64 c = counts_[s];
     rank_diag_.set(s, c < 2 ? 0 : c * (c - 1));

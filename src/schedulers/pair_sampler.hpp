@@ -481,7 +481,7 @@ class TrapKernelSampler {
   u64 k1_ = 0;  // κ at trap distance 0 or 1 (= T^power)
   RingLayout layout_;
   std::vector<u64> kval_;        // kernel value per trap ring distance
-  std::vector<u64> counts_;      // mirror of p's count vector
+  std::vector<Count> counts_;    // mirror of p's count vector
   std::vector<u64> trap_count_;  // agents per trap
   std::vector<u64> trap_extra_;  // extra-state agents per trap
   std::vector<u64> row_;         // R[A] = Σ_B n_B κ(A, B)

@@ -81,8 +81,8 @@ class LineLayout {
   StateId route_target(StateId s) const { return route_target_[s]; }
 
   /// Per-trap slice of a per-state count vector (rank states only).
-  std::span<const u64> trap_counts(std::span<const u64> counts, u64 l,
-                                   u64 a) const {
+  std::span<const Count> trap_counts(std::span<const Count> counts, u64 l,
+                                     u64 a) const {
     return counts.subspan(trap_offset(l, a), trap_size(l, a));
   }
 

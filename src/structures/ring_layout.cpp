@@ -41,7 +41,7 @@ RingLayout::RingLayout(u64 n, u64 m) : n_(n) {
   PP_ASSERT(off == n);
 }
 
-u64 RingLayout::lemma3_weight(std::span<const u64> counts) const {
+u64 RingLayout::lemma3_weight(std::span<const Count> counts) const {
   PP_ASSERT(counts.size() == n_);
   u64 k1 = 0;
   u64 k2 = 0;

@@ -53,7 +53,8 @@ class RingLayout {
   StateId next_gate(u64 a) const { return gate((a + 1) % num_traps()); }
 
   /// Per-trap slice of a full per-state count vector.
-  std::span<const u64> trap_counts(std::span<const u64> counts, u64 a) const {
+  std::span<const Count> trap_counts(std::span<const Count> counts,
+                                     u64 a) const {
     return counts.subspan(trap_offset(a), trap_size(a));
   }
 
@@ -61,7 +62,7 @@ class RingLayout {
   /// flat traps with unoccupied gates and k2 counts gaps across all traps.
   /// The paper proves K is non-increasing along every trajectory; the
   /// property tests check exactly that.
-  u64 lemma3_weight(std::span<const u64> counts) const;
+  u64 lemma3_weight(std::span<const Count> counts) const;
 
  private:
   u64 n_;

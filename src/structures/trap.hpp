@@ -22,33 +22,33 @@
 namespace pp::trap {
 
 /// Number of agents in the trap.
-u64 agents(std::span<const u64> counts);
+u64 agents(std::span<const Count> counts);
 
 /// Number of unoccupied inner states ("gaps", §2.1).
-u64 gaps(std::span<const u64> counts);
+u64 gaps(std::span<const Count> counts);
 
 /// Surplus l >= 0: agents beyond the trap's capacity of m+1
 /// (0 when the trap holds at most m+1 agents).
-u64 surplus(std::span<const u64> counts);
+u64 surplus(std::span<const Count> counts);
 
 /// No inner state holds more than one agent (§3.2).
-bool is_flat(std::span<const u64> counts);
+bool is_flat(std::span<const Count> counts);
 
 /// All inner states occupied (no gaps).
-bool is_saturated(std::span<const u64> counts);
+bool is_saturated(std::span<const Count> counts);
 
 /// Saturated and at least m+1 agents in the trap.  Facts 1 and 3: gaps
 /// never reopen and full traps stay full.
-bool is_full(std::span<const u64> counts);
+bool is_full(std::span<const Count> counts);
 
 /// Every overloaded inner state has a higher local index than every gap
 /// (§2.2).  Lemma 2: configurations become and remain tidy.
-bool is_tidy(std::span<const u64> counts);
+bool is_tidy(std::span<const Count> counts);
 
 /// Exactly m+1 agents, saturated, gate empty (§2.1, final definitions).
-bool is_almost_stabilised(std::span<const u64> counts);
+bool is_almost_stabilised(std::span<const Count> counts);
 
 /// Every state of the trap holds exactly one agent.
-bool is_fully_stabilised(std::span<const u64> counts);
+bool is_fully_stabilised(std::span<const Count> counts);
 
 }  // namespace pp::trap

@@ -2,7 +2,8 @@
 // rank states with rules (0,0) -> (0,1) and (1,1) -> (1,2), and one extra
 // state X = 2 whose (X,X) pairs fire (X -> 0) as one class of productive
 // weight 1.  With billions of agents all in X, the productive-weight /
-// pairs ratio is astronomically small (~6e-20 at n = 4e9).
+// pairs ratio is astronomically small (~1.1e-19 at the largest accepted
+// n, Protocol::kMaxAgents).
 #pragma once
 
 #include <memory>

@@ -41,7 +41,7 @@ RunResult run_adversary(Protocol& p, AdversaryPolicy policy, Rng& rng,
 
 // FNV-1a over the final count vector — the fingerprint the pinned
 // trajectories use (recorded from the pre-port implementation).
-u64 counts_hash(const std::vector<u64>& c) {
+u64 counts_hash(const std::vector<Count>& c) {
   u64 h = 1469598103934665603ULL;
   for (const u64 v : c) {
     h ^= v;

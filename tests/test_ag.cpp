@@ -43,7 +43,7 @@ TEST(Ag, SameStateRuleMovesResponderForward) {
 
 TEST(Ag, WrapAroundAtRankNMinus1) {
   AgProtocol p(4);
-  p.reset(Configuration(std::vector<u64>{0, 1, 1, 2}));
+  p.reset(Configuration(std::vector<Count>{0, 1, 1, 2}));
   Rng rng(2);
   p.step_productive(rng);
   EXPECT_EQ(p.counts()[3], 1u);

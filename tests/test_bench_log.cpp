@@ -71,6 +71,35 @@ TEST(BenchLog, WritesRunHeaderThenPoints) {
   }
 }
 
+TEST(BenchLog, PointsCarryExactSums) {
+  const std::string dir = ::testing::TempDir();
+  const BenchLog log = BenchLog::open(dir, "T1b: bench log sums", {});
+  ASSERT_TRUE(log.enabled());
+  TrialSet set = tiny_set(1.0);
+  TrialRecord big;
+  big.interactions = u64{1} << 62;
+  big.productive_steps = 3;
+  set.stats.fold(big);
+  log.append_point("point-a", 16, 0.0, set);
+  const auto lines = lines_of(log.path());
+  ASSERT_EQ(lines.size(), 2u);
+  // Exact integers, not %g-rounded doubles: 100 + 2^62.
+  EXPECT_NE(lines[1].find("\"total_interactions\":4611686018427388004"),
+            std::string::npos)
+      << lines[1];
+  EXPECT_NE(lines[1].find("\"total_productive_steps\":13"),
+            std::string::npos)
+      << lines[1];
+}
+
+TEST(AggregateStatsDeathTest, SumOverflowAborts) {
+  AggregateStats stats;
+  TrialRecord r;
+  r.interactions = u64{1} << 63;
+  stats.fold(r);
+  EXPECT_DEATH(stats.fold(r), "sum overflows");
+}
+
 TEST(BenchLog, ReopeningTruncatesStalePoints) {
   const std::string dir = ::testing::TempDir();
   BenchLog::RunInfo info;

@@ -271,14 +271,15 @@ TEST(Engine, RunResultContractHoldsOnEveryExitPath) {
 // SparseWeightProtocol (sparse_weight_protocol.hpp) pins its productive
 // weight at 1 over billions of claimed agents: the accelerated engine's
 // geometric gap sampler then saturates at Rng::kGeometricInfinity with
-// probability ~1/2 per draw — in Release builds the engine used to treat
+// probability ~1/7 per draw — in Release builds the engine used to treat
 // that sentinel as an ordinary gap length (and PP_DCHECK-aborted in
 // Debug); it must clamp to the interaction budget instead.
 TEST(EngineRegression, GeometricInfinityClampsToBudget) {
-  // w / pairs = 1 / (4e9 * (4e9 - 1)) ~ 6e-20: the expected geometric gap
-  // (~1.6e19) is around the sampler's u64 saturation point, so across
-  // seeds both the saturated and the merely-huge branch are exercised.
-  const u64 n = 4'000'000'000ULL;
+  // At the largest accepted n, w / pairs = 1 / (n (n - 1)) ~ 1.1e-19: the
+  // expected geometric gap (~9.2e18) is near the sampler's u64 saturation
+  // point (1.8e19), so across seeds both the saturated (4 of these 20) and
+  // the merely-huge branch are exercised.
+  const u64 n = Protocol::kMaxAgents;
   for (u64 seed = 1; seed <= 20; ++seed) {
     SparseWeightProtocol p(n);
     p.reset(Configuration({0, 0, n}));
@@ -296,8 +297,8 @@ TEST(EngineRegression, GeometricInfinityClampsToBudget) {
 TEST(EngineRegression, GeometricInfinityClampsToUnlimitedBudget) {
   // Even with the default (effectively unlimited) budget the sentinel must
   // terminate the run instead of looping or aborting.
-  SparseWeightProtocol p(4'000'000'000ULL);
-  p.reset(Configuration({0, 0, 4'000'000'000ULL}));
+  SparseWeightProtocol p(Protocol::kMaxAgents);
+  p.reset(Configuration({0, 0, Protocol::kMaxAgents}));
   Rng rng(3);
   const RunResult r = run_accelerated(p, rng, {});
   EXPECT_EQ(r.interactions, ~static_cast<u64>(0));
@@ -312,12 +313,9 @@ TEST(EngineDegenerate, SingleAgentPopulationsAreRejected) {
   // rejects such populations outright, for every protocol in the registry.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   for (const auto name : protocol_names()) {
-    // Most protocols die in the Protocol base constructor; ring-of-traps
-    // dies one step earlier, sizing its RingLayout.  Either way: a clean
+    // Every shape builder checks n before it sizes anything: a clean
     // assert, not a NaN-driven hang.
-    EXPECT_DEATH(make_protocol(name, 1),
-                 "at least two agents|RingLayout requires n >= 2")
-        << name;
+    EXPECT_DEATH(make_protocol(name, 1), "at least two agents") << name;
   }
 }
 

@@ -19,6 +19,18 @@ TEST(Factory, MakesEveryListedProtocol) {
   }
 }
 
+// n(n - 1) past the sum trees' bound is rejected by every shape builder
+// before it allocates anything O(n): at n = 2^32 a table built first would
+// ask for tens of GB (and an ag rule loop over 32-bit state ids would not
+// end), so only an early check lets this test finish.
+TEST(FactoryDeathTest, RejectsOversizedPopulationsBeforeBuilding) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const auto name : protocol_names()) {
+    EXPECT_DEATH(make_protocol(name, u64{1} << 32), "population too large")
+        << name;
+  }
+}
+
 TEST(Factory, BaselineIsListedFirst) {
   EXPECT_EQ(protocol_names().front(), "ag");
   EXPECT_EQ(protocol_names().size(), 4u);

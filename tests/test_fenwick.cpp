@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -235,6 +236,21 @@ TEST(FenwickDeathTest, WeightsAndTotalStayWithinI64) {
   Fenwick bulk;
   bulk.assign({max - 1, 0, 1});
   EXPECT_EQ(bulk.total(), max);
+}
+
+// The protocol's leaves widen a 32-bit count to u64 before they multiply:
+// c(c - 1) is exact at the widest count and 0 at c = 0 and c = 1.
+TEST(CountLeaves, PairWeightIsExactAtEveryCountWidth) {
+  constexpr Count kMax = std::numeric_limits<Count>::max();
+  const std::vector<Count> c{0, 1, 2, kMax};
+  const PairLeaves pairs{c};
+  EXPECT_EQ(pairs(0), 0u);
+  EXPECT_EQ(pairs(1), 0u);
+  EXPECT_EQ(pairs(2), 2u);
+  EXPECT_EQ(pairs(3), 18446744060824649730ULL);  // (2^32 - 1)(2^32 - 2)
+  EXPECT_EQ(pairs(3), (u64{kMax}) * (u64{kMax} - 1));
+  const Leaves counts{c};
+  EXPECT_EQ(counts(3), u64{kMax});
 }
 
 TEST(Fenwick, SamplingIsProportional) {

@@ -370,7 +370,7 @@ TEST(TrapKernelSampler, MassesMatchDirectEnumerationOnLiveConfigs) {
 
       for (int round = 0; round < rounds; ++round) {
         u64 weight = 0, productive = 0;
-        const std::vector<u64>& c = p->counts();
+        const std::vector<Count>& c = p->counts();
         for (StateId s = 0; s < states; ++s) {
           if (c[s] == 0) continue;
           for (StateId t = 0; t < states; ++t) {
@@ -386,7 +386,7 @@ TEST(TrapKernelSampler, MassesMatchDirectEnumerationOnLiveConfigs) {
         ASSERT_EQ(ts.productive_total(), productive)
             << name << "^" << power << " round " << round;
         if (ts.productive_total() == 0) break;
-        const std::vector<u64> before = c;
+        const std::vector<Count> before = c;
         ts.fire(*p, rng);
         std::vector<i64> trap_delta(layout.num_traps(), 0);
         for (StateId s = 0; s < states; ++s) {
@@ -407,8 +407,8 @@ TEST(TrapKernelSampler, MassesMatchDirectEnumerationOnLiveConfigs) {
 // state — the observable footprint of which state pair fired (the same
 // binning idea as first_fire_bin below, but computable on both the
 // sampled and the enumerated side).
-std::string count_delta_bin(const std::vector<u64>& before,
-                            const std::vector<u64>& after) {
+std::string count_delta_bin(const std::vector<Count>& before,
+                            const std::vector<Count>& after) {
   std::string bin;
   for (u64 s = 0; s < before.size(); ++s) {
     const i64 d =
@@ -545,7 +545,7 @@ std::string first_fire_bin(const SchedulerSpec& spec, u64 n, u64 seed) {
   ProtocolPtr p = make_protocol("ag", n);
   Rng rng(seed);
   p->reset(initial::uniform_random(*p, rng));
-  const std::vector<u64> before = p->counts();
+  const std::vector<Count> before = p->counts();
   const SchedulerPtr sched = make_scheduler(spec, n);
   RunOptions opt;
   opt.max_interactions = 1 << 22;

@@ -235,7 +235,7 @@ TEST(SingleLine, Lemma5OutcomeIsScheduleIndependent) {
 // gates carry >= 100 agents, inner state gate(a)+b carries exactly b).
 TEST(SingleLine, BetaGammaIndexArithmeticAtHundredThousandStates) {
   const u64 traps = 1000, inner = 99;  // num_ranks = traps * (inner+1) = 1e5
-  std::vector<u64> counts(traps * (inner + 1) + 1, 0);
+  std::vector<Count> counts(traps * (inner + 1) + 1, 0);
   u64 total = 0;
   for (u64 a = 0; a < traps; ++a) {
     counts[a * (inner + 1)] = 100 + a % 7;  // gate

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -200,8 +201,8 @@ TEST(ObsCounters, CountersDoNotPerturbTrajectories) {
 #if PP_OBS
 // Point updates a step from `before` to `after` needs on a protocol
 // without extra states (the count tree is never built on that path).
-u64 changed_rank_weights(const std::vector<u64>& before,
-                         const std::vector<u64>& after) {
+u64 changed_rank_weights(const std::vector<Count>& before,
+                         const std::vector<Count>& after) {
   u64 changed = 0;
   for (size_t s = 0; s < before.size(); ++s) {
     const u64 b = before[s];
@@ -243,7 +244,7 @@ TEST(ObsWork, RankRuleCostsOneUpdatePerChangedWeight) {
     Rng rng(derive_seed(82, name));
     p->reset(initial::uniform_random(*p, rng));
     for (int step = 0; step < 2000 && !p->is_silent(); ++step) {
-      const std::vector<u64> before = p->counts();
+      const std::vector<Count> before = p->counts();
       CounterBlock block;
       {
         obs::ScopedCounters scope(&block);
@@ -317,7 +318,7 @@ TEST(ObsWork, TrapSamplerPassesOnlyOnCrossTrapEvents) {
   const RingLayout layout(p->num_states());
   u64 inner = 0, gate = 0;
   for (int step = 0; step < 4000 && ts.productive_total() > 0; ++step) {
-    const std::vector<u64> before = p->counts();
+    const std::vector<Count> before = p->counts();
     CounterBlock block;
     {
       obs::ScopedCounters scope(&block);
@@ -433,15 +434,37 @@ TEST(ObsTrace, SpansNestAndCloseUnderEarlyAbort) {
     EXPECT_TRUE(s.frames.empty()) << "thread " << s.tid << " leaked a span";
   }
   u64 setup = 0, run = 0, abort_span = 0;
+  // Per trial: its trial-setup span and the init / reset spans inside it.
+  std::map<std::string, std::map<std::string, std::vector<obs::TraceEvent>>>
+      by_trial;
   for (const obs::TraceEvent& e : session.events()) {
     if (e.name == "trial-setup") ++setup;
     if (e.name == "scheduler-run") ++run;
     if (e.name == "observer-abort") ++abort_span;
+    if (e.name == "trial-setup" || e.name == "protocol-init" ||
+        e.name == "protocol-reset") {
+      by_trial[e.args][e.name].push_back(e);
+    }
     EXPECT_EQ(e.phase, 'X');
   }
   EXPECT_EQ(setup, 3u);
   EXPECT_EQ(run, 3u);
   EXPECT_EQ(abort_span, 1u);
+  ASSERT_EQ(by_trial.size(), 3u);
+  for (const auto& [trial, spans] : by_trial) {
+    ASSERT_EQ(spans.size(), 3u) << trial;
+    for (const auto& [name, events] : spans) {
+      ASSERT_EQ(events.size(), 1u) << trial << " " << name;
+    }
+    const obs::TraceEvent& outer = spans.at("trial-setup")[0];
+    for (const char* inner_name : {"protocol-init", "protocol-reset"}) {
+      const obs::TraceEvent& inner = spans.at(inner_name)[0];
+      EXPECT_EQ(inner.tid, outer.tid) << trial << " " << inner_name;
+      EXPECT_GE(inner.ts_us, outer.ts_us) << trial << " " << inner_name;
+      EXPECT_LE(inner.ts_us + inner.dur_us, outer.ts_us + outer.dur_us)
+          << trial << " " << inner_name;
+    }
+  }
 }
 
 TEST(ObsTrace, StepTraceRecordsInstantEventsForFlaggedTrialOnly) {

@@ -25,7 +25,7 @@ namespace pp {
 namespace {
 
 // State of agent `target` in state order, read off the counts directly.
-StateId state_of_agent(const std::vector<u64>& counts, u64 target) {
+StateId state_of_agent(const std::vector<Count>& counts, u64 target) {
   StateId s = 0;
   while (target >= counts[s]) target -= counts[s++];
   return s;
@@ -69,13 +69,16 @@ void expect_tree_matches(const SumLevels& tree, const Leaf& leaf,
 }
 
 void expect_trees_match(Protocol& p, Rng& rng, const std::string& where) {
-  const std::vector<u64>& c = p.counts();
+  const std::vector<Count>& c = p.counts();
+  const std::vector<u64> counts(c.begin(), c.end());
   std::vector<u64> pairs(p.num_ranks());
-  for (u64 s = 0; s < pairs.size(); ++s) pairs[s] = c[s] * (c[s] - 1);
+  for (u64 s = 0; s < pairs.size(); ++s) {
+    pairs[s] = counts[s] * (counts[s] - 1);
+  }
   ASSERT_NO_FATAL_FAILURE(expect_tree_matches(
       p.pair_weight_tree(), PairLeaves{c}, pairs, rng, where + " pair tree"));
   ASSERT_NO_FATAL_FAILURE(expect_tree_matches(
-      p.count_levels(), Leaves{c}, c, rng, where + " count tree"));
+      p.count_levels(), Leaves{c}, counts, rng, where + " count tree"));
 }
 
 TEST(CountTrees, MatchBruteForceUnderEveryMutation) {
@@ -99,7 +102,7 @@ TEST(CountTrees, MatchBruteForceUnderEveryMutation) {
             break;
           case 2: {
             // Two distinct agents: the responder is drawn from the rest.
-            std::vector<u64> rest = p->counts();
+            std::vector<Count> rest = p->counts();
             const StateId a = state_of_agent(rest, rng.below(n));
             --rest[a];
             const StateId b = state_of_agent(rest, rng.below(n - 1));

@@ -66,13 +66,13 @@ TEST(RingLayout, GatesAndTops) {
 
 TEST(RingLayout, Lemma3WeightOfFinalConfigurationIsZero) {
   RingLayout ring(20);
-  std::vector<u64> counts(20, 1);
+  std::vector<Count> counts(20, 1);
   EXPECT_EQ(ring.lemma3_weight(counts), 0u);
 }
 
 TEST(RingLayout, Lemma3WeightCountsGapsTwice) {
   RingLayout ring(12);  // 3 traps of size 4
-  std::vector<u64> counts(12, 1);
+  std::vector<Count> counts(12, 1);
   counts[1] = 0;  // inner gap in trap 0
   counts[2] = 2;  // keep the population size
   EXPECT_EQ(ring.lemma3_weight(counts), 2u);
@@ -80,7 +80,7 @@ TEST(RingLayout, Lemma3WeightCountsGapsTwice) {
 
 TEST(RingLayout, Lemma3WeightCountsFlatTrapsWithEmptyGateOnce) {
   RingLayout ring(12);
-  std::vector<u64> counts(12, 1);
+  std::vector<Count> counts(12, 1);
   counts[4] = 0;  // trap 1's gate empty; trap 1 flat
   counts[5] = 1;
   counts[0] = 2;  // keep population
@@ -90,7 +90,7 @@ TEST(RingLayout, Lemma3WeightCountsFlatTrapsWithEmptyGateOnce) {
 TEST(RingLayout, Lemma3WeightUpperBound) {
   // K = k1 + 2 k2 <= 2k where k is the number of unoccupied rank states.
   RingLayout ring(42);
-  std::vector<u64> counts(42, 1);
+  std::vector<Count> counts(42, 1);
   // Vacate 5 states (2 gates, 3 inner), dump the agents on state 0.
   counts[0] += 5;
   counts[ring.gate(0)] = counts[0];  // keep gate 0 occupied (it IS state 0)

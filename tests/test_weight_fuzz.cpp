@@ -100,7 +100,8 @@ TEST(WeightFuzz, UniformStepPreservesConsistencyToo) {
 
 // State of agent `target` under the canonical count ordering, read off the
 // count vector directly.
-StateId canonical_agent_state(const std::vector<u64>& counts, u64 target) {
+StateId canonical_agent_state(const std::vector<Count>& counts,
+                              u64 target) {
   StateId s = 0;
   while (target >= counts[s]) target -= counts[s++];
   return s;
@@ -109,7 +110,7 @@ StateId canonical_agent_state(const std::vector<u64>& counts, u64 target) {
 void expect_consistent(Protocol& p, const std::string& where) {
   ASSERT_EQ(p.productive_weight(), reference_productive_weight(p, p.counts()))
       << where;
-  const std::vector<u64>& counts = p.counts();
+  const std::vector<Count>& counts = p.counts();
   for (u64 t = 0; t < p.num_agents(); ++t) {
     ASSERT_EQ(p.uniform_agent_state(t), canonical_agent_state(counts, t))
         << where << " agent " << t;
