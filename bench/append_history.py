@@ -14,7 +14,7 @@ A row looks like:
      {"experiment": "...", "points": N, "trials": N,
       "wall_seconds": S, "points_detail": [
         {"point": "...", "n": N, "param": P, "trials": T,
-         "mean_parallel_time": M, "timeouts": K,
+         "mean_parallel_time": M, "timeouts": K, "invalid": V,
          "total_interactions": I, "total_productive_steps": P,
          "trials_per_sec": R}, ...]}]}
 
@@ -69,6 +69,7 @@ def summarise(path):
             "trials": p["trials"],
             "mean_parallel_time": p["mean_parallel_time"],
             "timeouts": p["timeouts"],
+            "invalid": p.get("invalid"),
             "total_interactions": p.get("total_interactions"),
             "total_productive_steps": p.get("total_productive_steps"),
             "trials_per_sec": p["trials_per_sec"],

@@ -28,6 +28,12 @@ point is a size cap: the current run's header records its effective
 --max-n, and baseline points above that cap are excused as notes — CI
 runs different subsets per build type (Debug smoke steps cap n hard).
 
+The gate also prints the trajectory: for each point of the current run,
+which of the HISTORY_FIELDS moved against the last row of
+bench/history.jsonl (see append_history.py), and which points that row
+lacks ("new").  A field the row does not carry is not compared.  This
+diff is informational and never fails the gate.
+
 Stdlib-only on purpose, like the figure script: the gate runs on any CI
 runner straight after the bench step.
 
@@ -38,6 +44,8 @@ Usage:
   --bench-dir          where the current BENCH_*.json files live
   --baseline-dir       committed baselines (default: bench/baselines next
                        to this script)
+  --history            trajectory rows (default: bench/history.jsonl next
+                       to this script); a missing file skips the diff
   --factor             a mean mismatch beyond this ratio either way is
                        labelled "beyond <factor>x" (default 2.0); every
                        mismatch fails regardless
@@ -72,6 +80,13 @@ EXACT_FIELDS = ("timeouts", "invalid", "total_interactions",
                 "total_productive_steps")
 # Kept for human reference and --throughput-factor; machine-dependent.
 REFERENCE_FIELDS = ("trials_per_sec",)
+# Diffed against the last history row (printed, never failing).
+HISTORY_FIELDS = ("mean_parallel_time", "total_interactions",
+                  "total_productive_steps", "timeouts", "invalid")
+
+
+def point_key(rec):
+    return (rec["point"], rec["n"], rec["param"], rec["trials"])
 
 
 def load_records(path):
@@ -94,8 +109,7 @@ def load_records(path):
                 experiment = rec.get("experiment")
                 max_n = rec.get("max_n", 0)
             elif rec.get("kind") in ("point", "baseline-point"):
-                key = (rec["point"], rec["n"], rec["param"], rec["trials"])
-                points[key] = rec
+                points[point_key(rec)] = rec
     return experiment, points, max_n
 
 
@@ -187,6 +201,46 @@ def compare(name, base_points, cur_points, factor, throughput_factor,
     return failures, notes
 
 
+def load_last_history(path):
+    """(sha, {experiment: {match key: point}}) of the file's last row, or
+    (None, {}) when there is no row."""
+    last = None
+    if os.path.exists(path):
+        with open(path, "r", encoding="utf-8") as f:
+            for line in f:
+                if line.strip():
+                    last = json.loads(line)
+    if last is None:
+        return None, {}
+    return last.get("sha"), {
+        e["experiment"]: {point_key(p): p for p in e["points_detail"]}
+        for e in last.get("experiments", [])
+    }
+
+
+def history_diff(name, row_points, cur_points):
+    """Prints which HISTORY_FIELDS moved per current point against the
+    last history row, and the points that row lacks."""
+    moved = []
+    new = []
+    for key, cur in sorted(cur_points.items()):
+        row = row_points.get(key)
+        if row is None:
+            new.append(f"  new since last history row: {fmt_key(key)}")
+            continue
+        fields = [field for field in HISTORY_FIELDS
+                  if field in row and cur.get(field) != row[field]]
+        if fields:
+            moved.append(f"  moved since last history row: {fmt_key(key)}: "
+                         + ", ".join(f"{field} {row[field]!r} -> "
+                                     f"{cur.get(field)!r}"
+                                     for field in fields))
+    print(f"{name}: {len(cur_points) - len(new) - len(moved)} unchanged, "
+          f"{len(moved)} moved, {len(new)} new since the last history row")
+    for line in moved + new:
+        print(line)
+
+
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__,
@@ -195,6 +249,9 @@ def main():
     ap.add_argument("--baseline-dir",
                     default=os.path.join(os.path.dirname(
                         os.path.abspath(__file__)), "baselines"))
+    ap.add_argument("--history",
+                    default=os.path.join(os.path.dirname(
+                        os.path.abspath(__file__)), "history.jsonl"))
     ap.add_argument("--factor", type=float, default=2.0)
     ap.add_argument("--throughput-factor", type=float, default=0.0)
     ap.add_argument("--update-baseline", action="store_true")
@@ -217,17 +274,24 @@ def main():
             print(f"baseline updated: {out} ({len(points)} points)")
         return
 
+    sha, history = load_last_history(args.history)
+    if sha is None:
+        print(f"no history row in {args.history} — trajectory diff skipped")
+    else:
+        print(f"trajectory against the last history row ({sha[:12]}):")
     all_failures = []
     checked = 0
     for path in current:
         name = os.path.basename(path)
+        experiment, cur_points, cur_max_n = load_records(path)
+        if sha is not None:
+            history_diff(name, history.get(experiment, {}), cur_points)
         base_path = os.path.join(args.baseline_dir, name)
         if not os.path.exists(base_path):
             print(f"{name}: no committed baseline — skipped "
                   f"(add one with --update-baseline)")
             continue
         _, base_points, _ = load_records(base_path)
-        _, cur_points, cur_max_n = load_records(path)
         failures, notes = compare(name, base_points, cur_points,
                                   args.factor, args.throughput_factor,
                                   cur_max_n)

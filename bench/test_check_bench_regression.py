@@ -10,7 +10,9 @@ silently shrank the gate's coverage.  Now it fails with a "missing
 point" diagnostic unless the point sits above the current run's
 recorded --max-n cap (that subset was legitimately never attempted).
 Matched points are pinned by equality: a mean that moves either way, by
-any factor, or a changed timeouts count fails.
+any factor, or a changed timeouts count fails.  The diff against the last
+bench/history.jsonl row names the fields that moved and the new points,
+and never fails the gate.
 
 Stdlib-only, like the gate itself; registered under `ctest -L lint`.
 """
@@ -51,7 +53,28 @@ def write_bench(dir_, name, points, max_n=0, bump_sum=None):
     return path
 
 
+def write_history(path, name, points):
+    """Appends a history row (append_history.py's shape, without
+    "invalid", like the rows written before it was added) holding the
+    points of write_bench(dir_, name, points)."""
+    detail = [{"point": label, "n": n, "param": 0, "trials": 3,
+               "mean_parallel_time": mean, "timeouts": 0,
+               "total_interactions": 1000 * n,
+               "total_productive_steps": 10 * n, "trials_per_sec": 30.0}
+              for (label, n, mean) in points]
+    row = {"kind": "history", "sha": "abcdef0123456789", "utc": "x",
+           "experiments": [{"experiment": name, "points": len(detail),
+                            "points_detail": detail}]}
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(json.dumps(row) + "\n")
+
+
 def run_gate(bench_dir, baseline_dir, *extra):
+    # Without --history in `extra`, point the gate at a file that does not
+    # exist so the repository's own history stays out of these runs.
+    if "--history" not in extra:
+        extra = ("--history", os.path.join(baseline_dir, "none.jsonl"),
+                 *extra)
     proc = subprocess.run(
         [sys.executable, GATE, "--bench-dir", bench_dir,
          "--baseline-dir", baseline_dir, *extra],
@@ -165,6 +188,36 @@ def main():
         write_bench(cur_dir, "t", full)
         code, out = run_gate(cur_dir, base_dir)
         expect(code == 0, "identical records pass again", out)
+        expect("trajectory diff skipped" in out,
+               "no history file skips the trajectory diff", out)
+
+        # The trajectory: only the last history row counts.  An older row
+        # with a different mean is ignored; against a matching last row
+        # nothing moved.
+        history = os.path.join(tmp, "history.jsonl")
+        write_history(history, "t", [(l, n, m + 1) for (l, n, m) in full])
+        write_history(history, "t", full)
+        code, out = run_gate(cur_dir, base_dir, "--history", history)
+        expect(code == 0 and "3 unchanged, 0 moved, 0 new" in out
+               and "abcdef012345" in out,
+               "the diff against a matching last history row is empty", out)
+
+        # A moved point and a point the row lacks are printed, and the gate
+        # still passes when the baselines match.
+        with open(history, "w", encoding="utf-8") as f:
+            f.write("")
+        write_history(history, "t",
+                      [(l, n, 7.0 if l == "s1-b" else m)
+                       for (l, n, m) in full if n != 100000])
+        code, out = run_gate(cur_dir, base_dir, "--history", history)
+        expect(code == 0, "a history diff never fails the gate", out)
+        expect("1 unchanged, 1 moved, 1 new" in out
+               and "s1-b (n=100, param=0, trials=3): "
+                   "mean_parallel_time 7.0 -> 2.0" in out
+               and "new since last history row: s1-a (n=100000" in out,
+               "moved fields and new points are named", out)
+        expect("invalid" not in out.split("moved since last history row")[1],
+               "a field the history row lacks is not compared", out)
 
     print("check_bench_regression self-test: OK")
 

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 
 #include "analysis/timeline.hpp"
@@ -103,44 +104,9 @@ pp::ConfigGenerator make_generator(const std::string& spec,
   return {};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args args;
-  if (!parse(argc, argv, args)) return 2;
-  if (args.list) {
-    for (const auto name : pp::protocol_names()) {
-      const pp::ProtocolPtr p =
-          pp::make_protocol(name, pp::preferred_population(name, 256));
-      std::printf("%-16s min n = %-4llu extra states at n=256: %llu\n",
-                  std::string(name).c_str(),
-                  static_cast<unsigned long long>(pp::min_population(name)),
-                  static_cast<unsigned long long>(p->num_extra_states()));
-    }
-    return 0;
-  }
-
-  if (args.trials == 0) {
-    std::fprintf(stderr, "--trials must be at least 1\n");
-    return 2;
-  }
-  const auto names = pp::protocol_names();
-  if (std::find(names.begin(), names.end(), args.protocol) == names.end()) {
-    std::fprintf(stderr, "unknown --protocol=%s (see --list)\n",
-                 args.protocol.c_str());
-    return 2;
-  }
-  // Reject before snapping: a line-of-traps snap walks canonical sizes up
-  // to n, and the snap itself may land past the limit.
-  const pp::u64 n = args.n > pp::Protocol::kMaxAgents
-                        ? args.n
-                        : pp::preferred_population(args.protocol, args.n);
-  if (n > pp::Protocol::kMaxAgents) {
-    std::fprintf(stderr, "--n=%llu is past the largest population (%llu)\n",
-                 static_cast<unsigned long long>(n),
-                 static_cast<unsigned long long>(pp::Protocol::kMaxAgents));
-    return 2;
-  }
+// Builds the protocol for the validated arguments, then runs the trials
+// and prints their summary.
+int simulate(const Args& args, pp::u64 n) {
   const pp::ProtocolPtr protocol = pp::make_protocol(args.protocol, n);
   std::string error;
   const pp::ConfigGenerator gen = make_generator(args.start, *protocol, error);
@@ -192,4 +158,54 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args args;
+  if (!parse(argc, argv, args)) return 2;
+  if (args.list) {
+    for (const auto name : pp::protocol_names()) {
+      const pp::ProtocolPtr p =
+          pp::make_protocol(name, pp::preferred_population(name, 256));
+      std::printf("%-16s min n = %-4llu extra states at n=256: %llu\n",
+                  std::string(name).c_str(),
+                  static_cast<unsigned long long>(pp::min_population(name)),
+                  static_cast<unsigned long long>(p->num_extra_states()));
+    }
+    return 0;
+  }
+
+  if (args.trials == 0) {
+    std::fprintf(stderr, "--trials must be at least 1\n");
+    return 2;
+  }
+  const auto names = pp::protocol_names();
+  if (std::find(names.begin(), names.end(), args.protocol) == names.end()) {
+    std::fprintf(stderr, "unknown --protocol=%s (see --list)\n",
+                 args.protocol.c_str());
+    return 2;
+  }
+  // Reject before snapping: a line-of-traps snap walks canonical sizes up
+  // to n, and the snap itself may land past the limit.
+  const pp::u64 n = args.n > pp::Protocol::kMaxAgents
+                        ? args.n
+                        : pp::preferred_population(args.protocol, args.n);
+  if (n > pp::Protocol::kMaxAgents) {
+    std::fprintf(stderr, "--n=%llu is past the largest population (%llu)\n",
+                 static_cast<unsigned long long>(n),
+                 static_cast<unsigned long long>(pp::Protocol::kMaxAgents));
+    return 2;
+  }
+  // The shape builders allocate O(n) tables; a size the machine cannot
+  // hold is an input error, not a crash.
+  try {
+    return simulate(args, n);
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "not enough memory for %s at --n=%llu\n",
+                 args.protocol.c_str(),
+                 static_cast<unsigned long long>(args.n));
+    return 2;
+  }
 }

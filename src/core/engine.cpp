@@ -1,8 +1,6 @@
 #include "core/engine.hpp"
 
 #include "common/assert.hpp"
-#include "obs/counters.hpp"
-#include "obs/trace.hpp"
 
 namespace pp {
 
@@ -31,17 +29,13 @@ bool advance_past_nulls(Rng& rng, GeometricFailures& gaps, double prob,
   // necessarily overruns the interaction budget, so clamp to it instead
   // of treating the sentinel as an ordinary gap length.
   if (skip == Rng::kGeometricInfinity || skip >= budget - interactions) {
+    PP_OBS_ADD(kNullSkips, budget - interactions);
     interactions = budget;
     return false;
   }
   interactions += skip + 1;
-  // The one productive-step gate every null-skipping engine passes
-  // through (accelerated uniform, graph-restricted, weighted, dynamic) —
-  // counters and the flagged-trial step trace hook in here once.
   PP_OBS_ADD(kNullSkips, skip);
   PP_OBS_SKETCH(kNullSkipGap, skip);
-  PP_OBS_INC(kProductiveSteps);
-  PP_OBS_TRACE_STEP(interactions);
   return true;
 }
 

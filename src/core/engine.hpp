@@ -16,16 +16,21 @@
 // naive simulation — tests/test_engine.cpp validates this against
 // run_uniform statistically.  The loop itself is run_exact, which the
 // accelerated scheduler paths (src/schedulers/) drive with their own
-// weighted pair samplers.
+// samplers.
 //
 // run_uniform simulates every interaction; it is the reference
 // implementation used in tests and small demos.
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <functional>
+#include <type_traits>
 
 #include "common/types.hpp"
 #include "core/protocol.hpp"
+#include "obs/counters.hpp"
+#include "obs/trace.hpp"
 #include "rng/random.hpp"
 
 namespace pp {
@@ -58,15 +63,13 @@ RunResult run_accelerated(Protocol& p, Rng& rng, const RunOptions& opt = {});
 /// Faithful one-interaction-at-a-time simulation.
 RunResult run_uniform(Protocol& p, Rng& rng, const RunOptions& opt = {});
 
-/// The exact-acceleration kernel under run_exact (and the dynamic-graph
-/// schedulers, whose topology events interleave with it): samples the
-/// geometric run of null steps preceding the next productive one
-/// (per-step success probability `prob`, through the caller's per-run
-/// `gaps` memo) and advances `interactions` past it, including the
-/// productive step itself.  Returns false — with interactions clamped to
-/// `budget` — when the gap overruns the budget, treating
-/// Rng::kGeometricInfinity (the sampler's saturation sentinel for
-/// astronomically small `prob`) as an overrun of any budget.
+/// run_exact's kernel: samples the geometric run of null steps before the
+/// next event (per-step probability `prob`, through the per-run `gaps`
+/// memo) and advances `interactions` past it, the event's own step
+/// included.  Returns false, with interactions clamped to `budget`, when
+/// the gap overruns the budget; Rng::kGeometricInfinity (the saturation
+/// sentinel for astronomically small `prob`) overruns any budget.  Adds
+/// the nulls it passes, the clamped remainder included, to kNullSkips.
 bool advance_past_nulls(Rng& rng, GeometricFailures& gaps, double prob,
                         u64 budget, u64& interactions);
 
@@ -84,29 +87,64 @@ RunResult finish_run(const Protocol& p, RunResult r, double parallel_time);
 /// finish_run with the default parallel time, interactions / n.
 RunResult finish_run(const Protocol& p, RunResult r);
 
-/// The exact null-skipping loop shared by run_accelerated and every
-/// accelerated scheduler path (graph-restricted, the three weighted
-/// samplers).  `s` exposes productive_probability() — the per-step chance
-/// that a scheduler draw is productive, 0 once nothing is — and
-/// fire(p, rng), which samples one productive pair and applies it.  The
-/// loop skips a Geometric(productive_probability()) run of nulls, fires
-/// one productive pair, and repeats until silence (in the sampler's
-/// sense: a graph-restricted run also stops when it is locally stuck),
-/// budget exhaustion or observer abort.
+/// The exact null-skipping loop under run_accelerated and every
+/// accelerated scheduler path (graph-restricted, weighted, dynamic graph).
+/// `s` exposes productive_probability() — the per-step chance of an event,
+/// 0 once none can happen — and fire(p, rng), which samples one event and
+/// applies it.  The loop skips a geometric run of nulls, fires, and repeats
+/// until the probability is 0, the budget runs out or the observer aborts.
+/// Two optional capabilities, detected from the sampler's type:
+///   * fire may return false for an event that changed no agent (edge
+///     flips only); the loop counts it as a null and goes on.
+///   * horizon() and on_horizon(rng) name a step where the sampler changes
+///     (a rewire epoch's end).  Gaps are capped there, which
+///     memorylessness makes exact; on_horizon runs when the loop stands on
+///     the horizon inside the budget: a gap overran it, a fire landed on
+///     it, or a stuck but non-silent sampler jumped to it.
+/// Every interaction passed is counted once, in kProductiveSteps or in
+/// kNullSkips, so the two sum to RunResult::interactions.
 template <class Sampler>
 RunResult run_exact(Protocol& p, Rng& rng, const RunOptions& opt,
                     Sampler& s) {
+  constexpr bool kHorizon = requires(Sampler& x, Rng& g) {
+    { x.horizon() } -> std::convertible_to<u64>;
+    x.on_horizon(g);
+  };
+  const u64 budget = opt.max_interactions;
   RunResult r;
   GeometricFailures gaps;
   while (true) {
+    u64 cap = budget;
+    if constexpr (kHorizon) {
+      if (r.interactions == s.horizon() && r.interactions < budget) {
+        s.on_horizon(rng);
+      }
+      cap = std::min(budget, s.horizon());
+    }
     const double prob = s.productive_probability();
-    if (prob <= 0.0) break;
-    if (!advance_past_nulls(rng, gaps, prob, opt.max_interactions,
-                            r.interactions)) {
+    if (prob <= 0.0) {
+      if constexpr (kHorizon) {
+        if (!p.is_silent()) {  // stuck: every step to the horizon is null
+          PP_OBS_ADD(kNullSkips, cap - r.interactions);
+          r.interactions = cap;
+          if (cap < budget) continue;
+        }
+      }
       break;
     }
-    s.fire(p, rng);
+    if (!advance_past_nulls(rng, gaps, prob, cap, r.interactions)) {
+      if (cap < budget) continue;  // stopped at the horizon
+      break;
+    }
+    if constexpr (std::is_void_v<decltype(s.fire(p, rng))>) {
+      s.fire(p, rng);
+    } else if (!s.fire(p, rng)) {
+      PP_OBS_INC(kNullSkips);  // the event changed no agent
+      continue;
+    }
     ++r.productive_steps;
+    PP_OBS_INC(kProductiveSteps);
+    PP_OBS_TRACE_STEP(r.interactions);
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
       break;

@@ -46,8 +46,10 @@
 namespace pp::obs {
 
 enum class Counter : u32 {
-  kProductiveSteps,    ///< productive firings driven through the hooks
-  kNullSkips,          ///< null interactions skipped in closed form
+  kProductiveSteps,    ///< productive firings (== productive_steps)
+  kNullSkips,          ///< nulls run_exact passes (skipped gaps, flip-only
+                       ///< events, stuck jumps, the budget-clamped rest):
+                       ///< + kProductiveSteps == its interactions
   kFenwickUpdates,     ///< Fenwick point updates (add/set with delta != 0)
   kGroupTouches,       ///< GroupedKernelSampler group members scanned
   kRosterGrows,        ///< DirectedPairRoster capacity-doubling rebuilds

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "obs/counters.hpp"
 
 namespace pp {
 namespace {
@@ -129,6 +130,7 @@ RunResult AdversarialScheduler::run(Protocol& p, Rng& rng,
     p.apply_pair(pick->s1, pick->s2);
     ++r.interactions;
     ++r.productive_steps;
+    PP_OBS_INC(kProductiveSteps);
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
       break;

@@ -27,6 +27,52 @@ double no_success_prob(u64 m, double q) {
   return std::exp(static_cast<double>(m) * std::log1p(-q));
 }
 
+struct FlipCounts {
+  u64 births = 0;
+  u64 deaths = 0;
+};
+
+// One step's birth and death counts over `absent` and `present` pairs,
+// conditioned on at least one flip; `A` = P(no births) and `B` = P(no
+// deaths).  Partitions "some flip" into {births >= 1} and {no birth,
+// deaths >= 1}; within the chosen part the first flipped edge's index is
+// a truncated geometric and the remaining trials stay unconditioned
+// binomials.  When one category has zero mass (A == 1 or B == 1), route to
+// the other directly: u can round exactly onto the boundary, and the
+// comparison must never select an impossible branch.
+FlipCounts draw_flip_counts(Rng& rng, u64 absent, u64 present, double birth,
+                            double death, double A, double B) {
+  FlipCounts c;
+  const bool births_possible = absent > 0 && birth > 0.0;
+  const bool deaths_possible = present > 0 && death > 0.0;
+  const double u = rng.real01() * (1.0 - A * B);
+  if (births_possible && (!deaths_possible || u < 1.0 - A)) {
+    const u64 first = rng.geometric_failures_truncated(birth, absent);
+    c.births = 1 + rng.binomial(absent - 1 - first, birth);
+    c.deaths = rng.binomial(present, death);
+  } else {
+    const u64 first = rng.geometric_failures_truncated(death, present);
+    c.deaths = 1 + rng.binomial(present - 1 - first, death);
+  }
+  return c;
+}
+
+// Per-vertex adjacency over pair ids: adj[v] lists the ids incident to v,
+// ends[id] = (u, v) and pos[id] = (id's index in adj[u], in adj[v]).
+// Swap-removes `id` from both lists, re-indexing the ids moved into them.
+void unlink_pair(std::vector<std::vector<u32>>& adj,
+                 std::vector<std::pair<u32, u32>>& pos,
+                 const std::vector<std::pair<u32, u32>>& ends, u32 id) {
+  for (const u32 vtx : {ends[id].first, ends[id].second}) {
+    std::vector<u32>& list = adj[vtx];
+    const u32 idx = ends[id].first == vtx ? pos[id].first : pos[id].second;
+    const u32 moved = list.back();
+    list[idx] = moved;
+    (ends[moved].first == vtx ? pos[moved].first : pos[moved].second) = idx;
+    list.pop_back();
+  }
+}
+
 // The dense reference state of the edge-Markovian model: agent states per
 // vertex, the sampler over all 2P directed pairs (weight 1 while the
 // underlying undirected pair is present, 0 while absent), swap-remove
@@ -47,8 +93,6 @@ struct MarkovState {
   const Protocol& p;
   u64 n;
   u64 num_pairs;
-  double birth;
-  double death;
   std::vector<StateId> state;                // per vertex
   std::vector<std::pair<u32, u32>> uv;       // pair id -> (u, v), u < v
   PairSampler pairs;                         // directed ids 2*pid + orient
@@ -59,13 +103,10 @@ struct MarkovState {
                                              // adj[v]
 
   MarkovState(const InteractionGraph& g, const Protocol& proto,
-              std::vector<StateId> placement, double birth_rate,
-              double death_rate)
+              std::vector<StateId> placement)
       : p(proto),
         n(placement.size()),
         num_pairs(n * (n - 1) / 2),
-        birth(birth_rate),
-        death(death_rate),
         state(std::move(placement)) {
     uv.reserve(num_pairs);
     for (u32 u = 0; u < n; ++u) {
@@ -115,20 +156,6 @@ struct MarkovState {
     adj[b].push_back(pid);
   }
 
-  void adj_remove_side(u32 vtx, u32 pid) {
-    std::vector<u32>& list = adj[vtx];
-    const u32 idx =
-        uv[pid].first == vtx ? adj_pos[pid].first : adj_pos[pid].second;
-    const u32 moved = list.back();
-    list[idx] = moved;
-    if (uv[moved].first == vtx) {
-      adj_pos[moved].first = idx;
-    } else {
-      adj_pos[moved].second = idx;
-    }
-    list.pop_back();
-  }
-
   u32 pair_id(u32 a, u32 b) const {
     const u64 u = std::min(a, b);
     const u64 v = std::max(a, b);
@@ -170,64 +197,35 @@ struct MarkovState {
       refresh_pair(pid);
       adj_add(pid);
     } else {
-      adj_remove_side(uv[pid].first, pid);
-      adj_remove_side(uv[pid].second, pid);
+      unlink_pair(adj, adj_pos, uv, pid);
     }
     pairs.set_weight(2 * static_cast<u64>(pid), now ? 1 : 0);
     pairs.set_weight(2 * static_cast<u64>(pid) + 1, now ? 1 : 0);
   }
 
-  /// Applies one step's edge flips conditioned on at least one occurring.
-  /// `A` = P(no births), `B` = P(no deaths) for the current lists.
-  void apply_flips(Rng& rng, double A, double B) {
-    const u64 na = absent.size();
-    const u64 np = present.size();
-    u64 births = 0, deaths = 0;
-    // Partition "some flip" into {births >= 1} and {no birth, deaths >= 1};
-    // within the chosen part the first flipped edge's index is a truncated
-    // geometric and the remaining trials stay unconditioned binomials.
-    // When one category has zero mass (A == 1 or B == 1), route to the
-    // other directly: u can round exactly onto the boundary, and the
-    // comparison must never select an impossible branch.
-    const bool births_possible = na > 0 && birth > 0.0;
-    const bool deaths_possible = np > 0 && death > 0.0;
-    const double u = rng.real01() * (1.0 - A * B);
-    if (births_possible && (!deaths_possible || u < 1.0 - A)) {
-      const u64 first = rng.geometric_failures_truncated(birth, na);
-      births = 1 + rng.binomial(na - 1 - first, birth);
-      deaths = rng.binomial(np, death);
-    } else {
-      const u64 first = rng.geometric_failures_truncated(death, np);
-      deaths = 1 + rng.binomial(np - 1 - first, death);
-    }
+  /// Applies one step's flips: `births` absent and `deaths` present pairs.
+  void apply_flips(Rng& rng, FlipCounts flips) {
     // The flip count plus a uniform subset of that size IS m independent
     // Bernoulli trials (exchangeability); read both victim sets before
     // mutating either list.
     std::vector<u32> born, died;
-    born.reserve(births);
-    died.reserve(deaths);
-    for (const u64 idx : rng.sample_distinct(na, births)) {
+    born.reserve(flips.births);
+    died.reserve(flips.deaths);
+    for (const u64 idx : rng.sample_distinct(absent.size(), flips.births)) {
       born.push_back(absent[idx]);
     }
-    for (const u64 idx : rng.sample_distinct(np, deaths)) {
+    for (const u64 idx : rng.sample_distinct(present.size(), flips.deaths)) {
       died.push_back(present[idx]);
     }
     for (const u32 pid : born) set_presence(pid, true);
     for (const u32 pid : died) set_presence(pid, false);
   }
 
-  void fire(Protocol& proto, Rng& rng, u64& productive_steps) {
+  /// A productive present pair as (initiator, responder).
+  std::pair<u32, u32> sample_productive(Rng& rng) const {
     const u64 d = pairs.sample_productive(rng);
     const auto [a, b] = uv[static_cast<u32>(d >> 1)];
-    const auto [ini, res] = (d & 1) ? std::make_pair(b, a)
-                                    : std::make_pair(a, b);
-    const auto [si, sr] = proto.apply_pair(state[ini], state[res]);
-    PP_DCHECK(si != state[ini] || sr != state[res]);
-    state[ini] = si;
-    state[res] = sr;
-    refresh_vertex(ini);
-    refresh_vertex(res);
-    ++productive_steps;
+    return (d & 1) ? std::make_pair(b, a) : std::make_pair(a, b);
   }
 };
 
@@ -249,8 +247,6 @@ struct SparseMarkovState {
   const Protocol& p;
   u64 n;
   u64 num_pairs;  // P = n(n-1)/2
-  double birth;
-  double death;
   std::vector<StateId> state;                 // per vertex
   DirectedPairRoster roster;                  // live entries = present pairs
   std::vector<std::pair<u32, u32>> ends;      // entry -> (u, v), u < v
@@ -261,13 +257,10 @@ struct SparseMarkovState {
                                               // across flip steps
 
   SparseMarkovState(const InteractionGraph& g, const Protocol& proto,
-                    std::vector<StateId> placement, double birth_rate,
-                    double death_rate)
+                    std::vector<StateId> placement)
       : p(proto),
         n(placement.size()),
         num_pairs(n * (n - 1) / 2),
-        birth(birth_rate),
-        death(death_rate),
         state(std::move(placement)),
         roster(2 * g.num_edges() + 16) {
     adj.resize(n);
@@ -304,24 +297,9 @@ struct SparseMarkovState {
     entry_of.emplace(key(u, v), static_cast<u32>(e));
   }
 
-  void adj_remove_side(u32 vtx, u32 e) {
-    std::vector<u32>& list = adj[vtx];
-    const u32 idx =
-        ends[e].first == vtx ? adj_pos[e].first : adj_pos[e].second;
-    const u32 moved = list.back();
-    list[idx] = moved;
-    if (ends[moved].first == vtx) {
-      adj_pos[moved].first = idx;
-    } else {
-      adj_pos[moved].second = idx;
-    }
-    list.pop_back();
-  }
-
   void remove_present(u32 e) {
     const auto [u, v] = ends[e];
-    adj_remove_side(u, e);
-    adj_remove_side(v, e);
+    unlink_pair(adj, adj_pos, ends, e);
     entry_of.erase(key(u, v));
     const u64 moved = roster.remove(e);
     if (moved != DirectedPairRoster::kNoEntry) {
@@ -370,30 +348,15 @@ struct SparseMarkovState {
     }
   }
 
-  /// Applies one step's edge flips conditioned on at least one occurring;
-  /// same partition of "some flip" as the dense reference (see above).
-  void apply_flips(Rng& rng, double A, double B) {
-    const u64 na = absent_count();
-    const u64 np = present_count();
-    u64 births = 0, deaths = 0;
-    const bool births_possible = na > 0 && birth > 0.0;
-    const bool deaths_possible = np > 0 && death > 0.0;
-    const double u = rng.real01() * (1.0 - A * B);
-    if (births_possible && (!deaths_possible || u < 1.0 - A)) {
-      const u64 first = rng.geometric_failures_truncated(birth, na);
-      births = 1 + rng.binomial(na - 1 - first, birth);
-      deaths = rng.binomial(np, death);
-    } else {
-      const u64 first = rng.geometric_failures_truncated(death, np);
-      deaths = 1 + rng.binomial(np - 1 - first, death);
-    }
+  /// Applies one step's flips: `births` absent and `deaths` present pairs.
+  void apply_flips(Rng& rng, FlipCounts flips) {
     // Read both victim sets before mutating: births are appended after the
     // death victims are fixed by (u, v), so neither sample disturbs the
     // other (born pairs are absent, dying pairs present — disjoint).
-    sample_absent(rng, births, born_scratch_);
+    sample_absent(rng, flips.births, born_scratch_);
     died_scratch_.clear();
-    died_scratch_.reserve(deaths);
-    for (const u64 idx : rng.sample_distinct(np, deaths)) {
+    died_scratch_.reserve(flips.deaths);
+    for (const u64 idx : rng.sample_distinct(present_count(), flips.deaths)) {
       died_scratch_.push_back(ends[idx]);
     }
     for (const auto& [u2, v2] : born_scratch_) add_present(u2, v2);
@@ -402,66 +365,111 @@ struct SparseMarkovState {
     }
   }
 
-  void fire(Protocol& proto, Rng& rng, u64& productive_steps) {
+  /// A productive present pair as (initiator, responder).
+  std::pair<u32, u32> sample_productive(Rng& rng) const {
     const auto [e, orient] = roster.sample_productive(rng);
     const auto [a, b] = ends[e];
-    const auto [ini, res] = orient != 0 ? std::make_pair(b, a)
-                                        : std::make_pair(a, b);
-    const auto [si, sr] = proto.apply_pair(state[ini], state[res]);
-    PP_DCHECK(si != state[ini] || sr != state[res]);
-    state[ini] = si;
-    state[res] = sr;
-    refresh_vertex(ini);
-    refresh_vertex(res);
-    ++productive_steps;
+    return orient != 0 ? std::make_pair(b, a) : std::make_pair(a, b);
   }
 };
 
-// The shared event-driven loop over either Markov state representation.
-// One step is: every potential edge flips independently, then one
-// directed present edge is drawn.  A step is *eventful* when some edge
-// flips (probability f, constant while the graph is unchanged) or —
-// flip-free steps keep the graph static — the draw is productive
-// (probability q).  The gap to the next eventful step is therefore
-// exactly geometric, which is what keeps null-skipping alive on a
-// topology that changes.
+// The edge-Markovian model over either state representation, as a
+// run_exact sampler.  One step is: every potential edge flips
+// independently, then one directed present edge is drawn.  A step is an
+// event when some edge flips (probability f, constant while the graph is
+// unchanged) or — flip-free steps keep the graph static — the draw is
+// productive (probability q).  The gap to the next event is therefore
+// exactly geometric, which is what keeps null-skipping alive on a topology
+// that changes.  An event that only flips edges changes no agent, so fire
+// reports it as not productive.
 template <typename State>
-RunResult markov_loop(State& ms, Protocol& p, Rng& rng,
-                      const RunOptions& opt) {
-  RunResult r;
-  GeometricFailures gaps;
-  while (!p.is_silent()) {
-    const double A = no_success_prob(ms.absent_count(), ms.birth);
-    const double B = no_success_prob(ms.present_count(), ms.death);
-    const double f = 1.0 - A * B;
-    const double q = ms.productive_probability();
-    const double p_event = f + (1.0 - f) * q;
-    if (p_event <= 0.0) break;  // frozen dynamics and locally stuck
-    if (!advance_past_nulls(rng, gaps, p_event, opt.max_interactions,
-                            r.interactions)) {
-      break;
-    }
-    bool fire_now;
-    // q == 0 forces the flip branch outright: the draw below can round
-    // onto p_event exactly, and firing with no productive pair would be
-    // nonsense.
-    if (q <= 0.0 || rng.real01() * p_event < f) {
-      // The eventful step opens with flips; its interaction slot then
-      // draws on the post-flip graph.
-      ms.apply_flips(rng, A, B);
-      fire_now = rng.bernoulli(ms.productive_probability());
-    } else {
-      fire_now = true;
-    }
-    if (!fire_now) continue;
-    ms.fire(p, rng, r.productive_steps);
-    if (opt.on_change && !opt.on_change(p, r.interactions)) {
-      r.aborted = true;
-      break;
-    }
+struct MarkovEvents {
+  State& graph;
+  double birth, death;                      // per-step edge flip rates
+  double no_births = 1.0, no_deaths = 1.0;  // A and B of the current step
+  double flip = 0.0, productive = 0.0, event = 0.0;  // f, q, f + (1-f) q
+
+  // 0 once the protocol is silent, and when the graph is frozen (f = 0)
+  // on a locally stuck configuration (q = 0).
+  double productive_probability() {
+    if (graph.p.is_silent()) return 0.0;
+    no_births = no_success_prob(graph.absent_count(), birth);
+    no_deaths = no_success_prob(graph.present_count(), death);
+    flip = 1.0 - no_births * no_deaths;
+    productive = graph.productive_probability();
+    event = flip + (1.0 - flip) * productive;
+    return event;
   }
-  return finish_run(p, r);
-}
+
+  bool fire(Protocol& p, Rng& rng) {
+    // q == 0 forces the flip branch outright: the draw below can round
+    // onto the event probability exactly, and firing with no productive
+    // pair would be nonsense.
+    if (productive <= 0.0 || rng.real01() * event < flip) {
+      // The event opens with flips; its interaction slot then draws on the
+      // post-flip graph.
+      graph.apply_flips(rng, draw_flip_counts(rng, graph.absent_count(),
+                                              graph.present_count(), birth,
+                                              death, no_births, no_deaths));
+      if (!rng.bernoulli(graph.productive_probability())) return false;
+    }
+    const auto [ini, res] = graph.sample_productive(rng);
+    const auto [si, sr] = p.apply_pair(graph.state[ini], graph.state[res]);
+    PP_DCHECK(si != graph.state[ini] || sr != graph.state[res]);
+    graph.state[ini] = si;
+    graph.state[res] = sr;
+    graph.refresh_vertex(ini);
+    graph.refresh_vertex(res);
+    return true;
+  }
+};
+
+// The periodic-rewire model as a run_exact sampler: each epoch's topology
+// is static, so it is the graph-restricted DirectedEdgeSampler with the
+// epoch's end as the horizon.  At every boundary the agent placement is
+// re-drawn (and a random-regular topology resampled).
+class RewireEpochs {
+ public:
+  RewireEpochs(const InteractionGraph& g, const Protocol& p,
+               std::vector<StateId> placement, GraphKind kind, u64 degree,
+               u64 period)
+      : p_(p), g_(&g), kind_(kind), degree_(degree), period_(period),
+        epoch_end_(period),
+        es_(std::in_place, g, p, std::move(placement)) {}
+
+  double productive_probability() const {
+    return es_->productive_probability();
+  }
+  void fire(Protocol& p, Rng& rng) { es_->fire(p, rng); }
+  u64 horizon() const { return epoch_end_; }
+
+  void on_horizon(Rng& rng) {
+    std::vector<StateId> states = es_->take_states();
+    es_.reset();  // es_ points at *g_; drop it before regen_ replaces it
+    if (kind_ == GraphKind::kRandomRegular) {
+      regen_.emplace(
+          InteractionGraph::random_regular(p_.num_agents(), degree_,
+                                           rng.bits()));
+      g_ = &*regen_;
+    }
+    // A fresh uniform embedding — for deterministic topologies (cycle,
+    // path, ...) the re-placement IS the rewiring; for random-regular it
+    // composes with the resampled graph.
+    rng.shuffle(states);
+    es_.emplace(*g_, p_, std::move(states));
+    epoch_end_ += period_;
+  }
+
+ private:
+  const Protocol& p_;
+  const InteractionGraph* g_;
+  GraphKind kind_;
+  u64 degree_;
+  u64 period_;
+  u64 epoch_end_;
+  std::optional<InteractionGraph> regen_;  // owns resampled topologies
+  std::optional<DirectedEdgeSampler> es_;
+};
 
 }  // namespace
 
@@ -512,92 +520,22 @@ RunResult DynamicGraphScheduler::run(Protocol& p, Rng& rng,
   PP_ASSERT_MSG(p.num_agents() == n_,
                 "dynamic-graph scheduler built for a different population "
                 "size");
-  return dynamics_ == GraphDynamics::kEdgeMarkovian
-             ? run_markovian(p, rng, opt)
-             : run_rewire(p, rng, opt);
-}
-
-RunResult DynamicGraphScheduler::run_markovian(Protocol& p, Rng& rng,
-                                               const RunOptions& opt) const {
   std::vector<StateId> placement = p.configuration().to_agent_states();
   rng.shuffle(placement);
+  if (dynamics_ == GraphDynamics::kPeriodicRewire) {
+    RewireEpochs epochs(*graph_, p, std::move(placement), graph_kind_,
+                        degree_, resolved_period());
+    return run_exact(p, rng, opt, epochs);
+  }
   if (dense_reference_) {
-    MarkovState ms(*graph_, p, std::move(placement), resolved_birth(),
-                   resolved_death());
-    return markov_loop(ms, p, rng, opt);
+    MarkovState ms(*graph_, p, std::move(placement));
+    MarkovEvents<MarkovState> events{ms, resolved_birth(), resolved_death()};
+    return run_exact(p, rng, opt, events);
   }
-  SparseMarkovState ms(*graph_, p, std::move(placement), resolved_birth(),
-                       resolved_death());
-  return markov_loop(ms, p, rng, opt);
-}
-
-RunResult DynamicGraphScheduler::run_rewire(Protocol& p, Rng& rng,
-                                            const RunOptions& opt) const {
-  const u64 n = p.num_agents();
-  const u64 period = resolved_period();
-  std::vector<StateId> placement = p.configuration().to_agent_states();
-  rng.shuffle(placement);
-
-  std::optional<InteractionGraph> regen;  // owns resampled topologies
-  const InteractionGraph* g = graph_.get();
-  std::optional<DirectedEdgeSampler> es;
-  es.emplace(*g, p, std::move(placement));
-
-  RunResult r;
-  GeometricFailures gaps;
-  u64 epoch_end = period;
-  const auto rewire = [&] {
-    std::vector<StateId> states = es->take_states();
-    es.reset();  // es points at *g; drop it before regen replaces the graph
-    if (graph_kind_ == GraphKind::kRandomRegular) {
-      regen.emplace(InteractionGraph::random_regular(n, degree_, rng.bits()));
-      g = &*regen;
-    }
-    // A fresh uniform embedding — for deterministic topologies (cycle,
-    // path, ...) the re-placement IS the rewiring; for random-regular it
-    // composes with the resampled graph.
-    rng.shuffle(states);
-    es.emplace(*g, p, std::move(states));
-  };
-
-  while (true) {
-    if (es->pairs().productive_total() == 0) {
-      if (p.is_silent()) break;
-      // Locally stuck on this epoch's topology: every remaining step of
-      // the epoch is null, so jump straight to the boundary and rewire.
-      if (epoch_end >= opt.max_interactions) {
-        r.interactions = opt.max_interactions;
-        break;
-      }
-      r.interactions = epoch_end;
-      rewire();
-      epoch_end += period;
-      continue;
-    }
-    // The epoch's graph is static, so the geometric gap construction of
-    // the graph-restricted scheduler applies verbatim — merely capped at
-    // the epoch boundary (memorylessness makes the fresh restart under
-    // the next topology exact).
-    const u64 cap = std::min(opt.max_interactions, epoch_end);
-    if (!advance_past_nulls(rng, gaps, es->pairs().productive_probability(),
-                            cap, r.interactions)) {
-      if (r.interactions >= opt.max_interactions) break;
-      rewire();
-      epoch_end += period;
-      continue;
-    }
-    es->fire(p, rng);
-    ++r.productive_steps;
-    if (opt.on_change && !opt.on_change(p, r.interactions)) {
-      r.aborted = true;
-      break;
-    }
-    if (r.interactions == epoch_end && r.interactions < opt.max_interactions) {
-      rewire();
-      epoch_end += period;
-    }
-  }
-  return finish_run(p, r);
+  SparseMarkovState ms(*graph_, p, std::move(placement));
+  MarkovEvents<SparseMarkovState> events{ms, resolved_birth(),
+                                         resolved_death()};
+  return run_exact(p, rng, opt, events);
 }
 
 }  // namespace pp

@@ -27,21 +27,24 @@
 // (schedulers/pair_sampler.hpp) and keep the productive-edge weight fresh
 // across *both* kinds of change: protocol steps re-test the pairs touching
 // the two agents that moved, edge births/deaths move scheduling weight
-// while productivity flags persist.  Geometric null-skipping is preserved
-// exactly in both models:
+// while productivity flags persist.  Both run on run_exact
+// (core/engine.hpp), so geometric null-skipping is exact in both models:
 //
-//   * rewire epochs are internally static, so the gap to the next
-//     productive step is geometric as in the graph-restricted scheduler,
-//     merely capped at the epoch boundary (memorylessness makes the
-//     restart at the boundary exact);
-//   * under edge-Markovian dynamics a step is *eventful* when some edge
-//     flips or the drawn edge is productive; the gap to the next eventful
-//     step is Geometric(f + (1-f) q) with f the per-step flip probability
-//     and q the productive fraction, both exactly maintained.  Flip steps
-//     then sample their flip set conditioned on being non-empty (first
-//     flipped edge by truncated-geometric inversion, the rest binomially)
-//     — bit-for-bit the distribution of flipping every edge every step,
-//     at O(flips + productive steps + events) cost.
+//   * a rewire epoch is internally static: its sampler is the
+//     graph-restricted DirectedEdgeSampler with the epoch's end as
+//     run_exact's horizon, which caps each gap there (memorylessness makes
+//     the restart at the boundary exact) and rewires in on_horizon — also
+//     when the epoch's topology has left the run locally stuck;
+//   * under edge-Markovian dynamics a step is an *event* when some edge
+//     flips or the drawn edge is productive; the gap to the next event is
+//     Geometric(f + (1-f) q) with f the per-step flip probability and q
+//     the productive fraction, both exactly maintained.  Flip events then
+//     sample their flip set conditioned on being non-empty (first flipped
+//     edge by truncated-geometric inversion, the rest binomially) —
+//     bit-for-bit the distribution of flipping every edge every step, at
+//     O(flips + productive steps + events) cost.  An event whose slot then
+//     draws a null pair changed no agent: fire reports it as not
+//     productive, and run_exact counts it as a null interaction.
 //
 // The edge-Markovian model stores only the *present* edge set by default
 // (a hash-indexed roster on schedulers/pair_sampler's DirectedPairRoster:
@@ -95,9 +98,6 @@ class DynamicGraphScheduler final : public Scheduler {
   u64 resolved_period() const { return period_ != 0 ? period_ : n_; }
 
  private:
-  RunResult run_markovian(Protocol& p, Rng& rng, const RunOptions& opt) const;
-  RunResult run_rewire(Protocol& p, Rng& rng, const RunOptions& opt) const;
-
   std::shared_ptr<const InteractionGraph> graph_;
   GraphKind graph_kind_;
   u64 degree_;

@@ -1,6 +1,7 @@
 #include "schedulers/graph_restricted.hpp"
 
 #include "common/assert.hpp"
+#include "obs/counters.hpp"
 #include "schedulers/pair_sampler.hpp"
 
 namespace pp {
@@ -38,6 +39,7 @@ RunResult GraphRestrictedScheduler::run(Protocol& p, Rng& rng,
     if (!es.pairs().productive(drawn)) continue;  // null step
     es.fire(p, drawn);
     ++r.productive_steps;
+    PP_OBS_INC(kProductiveSteps);
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
       break;

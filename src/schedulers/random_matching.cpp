@@ -1,6 +1,7 @@
 #include "schedulers/random_matching.hpp"
 
 #include "common/assert.hpp"
+#include "obs/counters.hpp"
 
 namespace pp {
 
@@ -37,6 +38,7 @@ RunResult RandomMatchingScheduler::run(Protocol& p, Rng& rng,
       agents[a] = sa;
       agents[b] = sb;
       ++r.productive_steps;
+      PP_OBS_INC(kProductiveSteps);
       if (opt.on_change && !opt.on_change(p, r.interactions)) {
         r.aborted = true;
         return finish_run(p, r, rounds_elapsed(r));

@@ -818,20 +818,67 @@ TEST(HierarchicalPins, WeightedRingDecayLargeTreeRankingTrajectory) {
   EXPECT_EQ(r.productive_steps, 57790u);
 }
 
-TEST(HierarchicalPins, SparseMarkovTrajectory) {
-  SchedulerSpec spec;
-  spec.kind = SchedulerKind::kDynamicGraph;
-  spec.graph = GraphKind::kCycle;
-  spec.dynamics = GraphDynamics::kEdgeMarkovian;
-  const DynamicGraphScheduler sched(spec, 32);
-  ProtocolPtr p = make_protocol("ag", 32);
+// One pinned dynamic-graph run: ag at n = 32 from a uniform random start,
+// seed 424242, a budget of 20 n^3 interactions.
+RunResult run_dynamic_pin(const SchedulerSpec& spec) {
+  const u64 n = 32;
+  const DynamicGraphScheduler sched(spec, n);
+  ProtocolPtr p = make_protocol("ag", n);
   Rng rng(424242);
   p->reset(initial::uniform_random(*p, rng));
   RunOptions opt;
-  opt.max_interactions = 20 * 32 * 32 * 32;
-  const RunResult r = sched.run(*p, rng, opt);
+  opt.max_interactions = 20 * n * n * n;
+  return sched.run(*p, rng, opt);
+}
+
+SchedulerSpec dynamic_cycle_spec(GraphDynamics dynamics) {
+  SchedulerSpec spec;
+  spec.kind = SchedulerKind::kDynamicGraph;
+  spec.graph = GraphKind::kCycle;
+  spec.dynamics = dynamics;
+  return spec;
+}
+
+TEST(HierarchicalPins, SparseMarkovTrajectory) {
+  const RunResult r =
+      run_dynamic_pin(dynamic_cycle_spec(GraphDynamics::kEdgeMarkovian));
   EXPECT_TRUE(r.silent);
   EXPECT_EQ(r.interactions, 21593u);
+  EXPECT_EQ(r.productive_steps, 68u);
+}
+
+TEST(HierarchicalPins, DenseMarkovTrajectory) {
+  // The dense reference draws its flip counts through the same conditioned
+  // births/deaths construction as the sparse path.
+  SchedulerSpec spec = dynamic_cycle_spec(GraphDynamics::kEdgeMarkovian);
+  spec.dense_reference = true;
+  ASSERT_EQ(spec.to_string(), "dynamic[cycle/markov/dense-ref]");
+  const RunResult r = run_dynamic_pin(spec);
+  EXPECT_TRUE(r.silent);
+  EXPECT_EQ(r.interactions, 32710u);
+  EXPECT_EQ(r.productive_steps, 68u);
+}
+
+TEST(HierarchicalPins, CycleRewireTrajectory) {
+  const SchedulerSpec spec =
+      dynamic_cycle_spec(GraphDynamics::kPeriodicRewire);
+  ASSERT_EQ(spec.to_string(), "dynamic[cycle/rewire]");
+  const RunResult r = run_dynamic_pin(spec);
+  EXPECT_TRUE(r.silent);
+  EXPECT_EQ(r.interactions, 15337u);
+  EXPECT_EQ(r.productive_steps, 68u);
+}
+
+TEST(HierarchicalPins, RandomRegularRewireTrajectory) {
+  // Every epoch boundary resamples the random-regular graph from rng.bits().
+  const std::vector<SchedulerSpec> specs = all_scheduler_specs();
+  const auto it = std::find_if(specs.begin(), specs.end(), [](const auto& s) {
+    return s.to_string() == "dynamic[random-4-regular/rewire]";
+  });
+  ASSERT_NE(it, specs.end());
+  const RunResult r = run_dynamic_pin(*it);
+  EXPECT_TRUE(r.silent);
+  EXPECT_EQ(r.interactions, 9327u);
   EXPECT_EQ(r.productive_steps, 68u);
 }
 

@@ -16,6 +16,9 @@
 //   * budget and observer: a budget of n interactions is never overrun
 //     (and used in full unless the run ends silent or locally stuck), and
 //     an observer that returns false stops the run on that very call;
+//   * work counters add up (instrumented builds): kProductiveSteps equals
+//     productive_steps, and on the run_exact paths every interaction is
+//     either a closed-form null skip or a productive step;
 //   * determinism: the same seed through the same (const, stateless)
 //     scheduler instance reproduces the trajectory exactly — identical
 //     RunResult and identical final configuration;
@@ -36,6 +39,7 @@
 #include <vector>
 
 #include "core/initial.hpp"
+#include "obs/counters.hpp"
 #include "protocols/factory.hpp"
 #include "rng/seed_sequence.hpp"
 
@@ -99,13 +103,43 @@ class SchedulerConformance : public ::testing::TestWithParam<Case> {
     return run_once(sched, seed, out, opt);
   }
 
+  // Runs with the work counters recording into work_ (a no-op scope when
+  // they are compiled out).
   RunResult run_once(const Scheduler& sched, u64 seed, ProtocolPtr& out,
                      const RunOptions& opt) {
     out = make_protocol(GetParam().protocol, population());
     Rng rng(seed);
     out->reset(initial::uniform_random(*out, rng));
+    work_.clear();
+    const obs::ScopedCounters scope(&work_);
     return sched.run(*out, rng, opt);
   }
+
+  // The counters of the last run_once account for its RunResult: every
+  // productive step is counted once, and a run_exact path (accelerated
+  // uniform, weighted, graph-restricted, dynamic) counts each of its
+  // interactions either as a null skip or as a productive step.
+  void expect_counters_add_up(const RunResult& r) const {
+#if PP_OBS
+    using obs::Counter;
+    const u64 productive = work_.get(Counter::kProductiveSteps);
+    EXPECT_EQ(productive, r.productive_steps);
+    switch (GetParam().spec.kind) {
+      case SchedulerKind::kAcceleratedUniform:
+      case SchedulerKind::kWeighted:
+      case SchedulerKind::kGraphRestricted:
+      case SchedulerKind::kDynamicGraph:
+        EXPECT_EQ(work_.get(Counter::kNullSkips) + productive, r.interactions);
+        break;
+      default:
+        break;
+    }
+#else
+    (void)r;
+#endif
+  }
+
+  obs::CounterBlock work_;
 };
 
 TEST_P(SchedulerConformance, HonestVerdictAndRunResultInvariants) {
@@ -117,6 +151,7 @@ TEST_P(SchedulerConformance, HonestVerdictAndRunResultInvariants) {
   ProtocolPtr p;
   const u64 seed = derive_seed(70, c.spec.to_string(), population());
   const RunResult r = run_once(*sched, seed, p);
+  expect_counters_add_up(r);
 
   // RunResult invariants.
   EXPECT_FALSE(r.aborted);
@@ -164,6 +199,7 @@ TEST_P(SchedulerConformance, BudgetAndObserverAbortAreHonoured) {
     opt.max_interactions = n;
     const RunResult r =
         run_once(*sched, derive_seed(72, c.spec.to_string(), n), p, opt);
+    expect_counters_add_up(r);
     EXPECT_LE(r.interactions, n);
     EXPECT_FALSE(r.aborted);
     if (!r.silent && c.spec.kind != SchedulerKind::kGraphRestricted) {
@@ -182,6 +218,7 @@ TEST_P(SchedulerConformance, BudgetAndObserverAbortAreHonoured) {
     opt.on_change = [&calls](const Protocol&, u64) { return ++calls < 3; };
     const RunResult r =
         run_once(*sched, derive_seed(73, c.spec.to_string(), n), p, opt);
+    expect_counters_add_up(r);
     EXPECT_GE(r.interactions, r.productive_steps);
     if (c.spec.kind == SchedulerKind::kGraphRestricted && !r.aborted) {
       EXPECT_LT(calls, 3u);
