@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "common/assert.hpp"
 #include "core/initial.hpp"
 #include "protocols/ag.hpp"
 #include "protocols/factory.hpp"
@@ -485,6 +487,139 @@ TEST(SchedulerRunner, MatchingAndGraphRunThroughTheRunner) {
     EXPECT_EQ(set.stats.timeouts, 0u) << scheduler_kind_name(kind);
     EXPECT_EQ(set.stats.invalid, 0u) << scheduler_kind_name(kind);
   }
+}
+
+// ---- pinned tick-phase and round trajectories -----------------------------
+
+// One run through a roster scheduler with an observer that counts its calls
+// and sums the interaction counts it is handed; `stop_at` (0 = never) makes
+// it abort on the change that lands on that interaction.
+struct PinRun {
+  RunResult r;
+  u64 calls = 0;
+  u64 seen = 0;
+  u64 next_draw = 0;  // the generator's first draw after the run
+};
+
+PinRun run_pinned(std::string_view spec_name, std::string_view proto, u64 n,
+                  u64 seed, u64 budget, u64 stop_at = 0) {
+  const std::vector<SchedulerSpec> specs = all_scheduler_specs();
+  const auto it = std::find_if(specs.begin(), specs.end(), [&](const auto& s) {
+    return s.to_string() == spec_name;
+  });
+  PP_ASSERT_MSG(it != specs.end(), "pinned spec is not in the roster");
+  const SchedulerPtr sched = make_scheduler(*it, n);
+  ProtocolPtr p = make_protocol(proto, n);
+  Rng rng(seed);
+  p->reset(initial::uniform_random(*p, rng));
+  PinRun out;
+  RunOptions opt;
+  opt.max_interactions = budget;
+  opt.on_change = [&out, stop_at](const Protocol&, u64 k) {
+    ++out.calls;
+    out.seen += k;
+    return k != stop_at;
+  };
+  out.r = sched->run(*p, rng, opt);
+  out.next_draw = rng.bits();
+  return out;
+}
+
+struct Pin {
+  const char* spec;
+  const char* proto;
+  u64 n, seed, budget, stop_at;
+  u64 interactions, productive_steps, fault_events;
+  double parallel_time;
+  bool silent, aborted;
+  u64 calls, seen, next_draw;
+};
+
+void expect_pin(const Pin& pin) {
+  const PinRun run = run_pinned(pin.spec, pin.proto, pin.n, pin.seed,
+                                pin.budget, pin.stop_at);
+  const RunResult& r = run.r;
+  const std::string at = std::string(pin.spec) + " " + pin.proto + " n=" +
+                         std::to_string(pin.n) + " seed=" +
+                         std::to_string(pin.seed) + " budget=" +
+                         std::to_string(pin.budget);
+  EXPECT_EQ(r.interactions, pin.interactions) << at;
+  EXPECT_EQ(r.productive_steps, pin.productive_steps) << at;
+  EXPECT_EQ(r.fault_events, pin.fault_events) << at;
+  EXPECT_EQ(r.parallel_time, pin.parallel_time) << at;
+  EXPECT_EQ(r.silent, pin.silent) << at;
+  EXPECT_EQ(r.valid, pin.silent) << at;
+  EXPECT_EQ(r.aborted, pin.aborted) << at;
+  EXPECT_EQ(run.calls, pin.calls) << at;
+  EXPECT_EQ(run.seen, pin.seen) << at;
+  EXPECT_EQ(run.next_draw, pin.next_draw) << at;
+}
+
+constexpr u64 kUnlimited = ~u64{0};
+
+// Recorded from the hand-written churn, partition and random-matching loops
+// (and the accelerated clean tail churn and partition hand over to) before
+// those models moved onto run_exact.  Each model gets one run to its end and
+// one whose budget stops it mid-phase or mid-round.
+TEST(TickPhasePins, ChurnStormThenCleanTail) {
+  // ring-of-traps n = 40: the storm is 2000 ticks, so the 1000 budget ends
+  // inside it.  The move_agent fast path and the rebuild reference agree.
+  for (const char* spec : {"churn[0.02/uniform-state]",
+                           "churn[0.02/uniform-state/dense-ref]"}) {
+    expect_pin({spec, "ring-of-traps", 40, 11, kUnlimited, 0, 40312, 205, 48,
+                1007.8, true, false, 251, 3000440, 0x49f3d7bc7c686799ULL});
+    expect_pin({spec, "ring-of-traps", 40, 12, 1000, 0, 1000, 14, 14, 25,
+                false, false, 26, 14555, 0x1aac36605b7f7366ULL});
+  }
+}
+
+TEST(TickPhasePins, PartitionPhasesThenCleanTail) {
+  // ag n = 30: three 600-step split/heal cycles; the 900 budget ends in the
+  // first heal phase.
+  expect_pin({"partition[2-blocks]", "ag", 30, 11, kUnlimited, 0, 15119, 81, 6,
+              503.96666666666664, true, false, 81, 460179,
+              0x0cb4e85ed5962523ULL});
+  expect_pin({"partition[2-blocks]", "ag", 30, 12, 900, 0, 900, 14, 2, 30,
+              false, false, 14, 6586, 0x485b56c3a464b666ULL});
+  expect_pin({"partition[3-blocks]", "ag", 30, 11, kUnlimited, 0, 17482, 81, 6,
+              582.73333333333335, true, false, 81, 553711,
+              0x3b05b549a7523497ULL});
+  expect_pin({"partition[3-blocks]", "ag", 30, 12, 900, 0, 900, 14, 2, 30,
+              false, false, 14, 8872, 0x485b56c3a464b666ULL});
+}
+
+TEST(TickPhasePins, RandomMatchingRounds) {
+  // 15 meetings a round at n = 30 and at n = 31 (one agent idles); the
+  // budgets 100 and 101 end mid-round.
+  expect_pin({"random-matching", "ag", 30, 13, kUnlimited, 0, 12570, 103, 0,
+              838, true, false, 103, 447188, 0x7297ea49cc7f47a9ULL});
+  expect_pin({"random-matching", "ag", 30, 14, 100, 0, 100, 5, 0,
+              6.666666666666667, false, false, 5, 190, 0xd500076db01b6455ULL});
+  expect_pin({"random-matching", "ag", 31, 15, kUnlimited, 0, 17490, 122, 0,
+              1166, true, false, 122, 675052, 0x0a75d270d2ed84c3ULL});
+  expect_pin({"random-matching", "ag", 31, 16, 101, 0, 101, 2, 0,
+              6.7333333333333334, false, false, 2, 65, 0x8fa25ab8f7b2f5a0ULL});
+}
+
+TEST(TickPhasePins, PartitionBudgetOnAPhaseBoundaryCountsTheNextTransition) {
+  // A budget of exactly three 20 n phases: the split, heal and split that
+  // ran, plus the move into the heal phase the budget left no room for.
+  const u64 hashes[] = {0x6af58836621df374ULL, 0x892d337cc6415b9dULL,
+                        0xb26f84ebe1a92a8bULL, 0x5888dc0a3bd54c69ULL};
+  const u64 productive[] = {16, 23, 15, 11};
+  const u64 seen[] = {12750, 16965, 10332, 11554};
+  for (u64 seed = 1; seed <= 4; ++seed) {
+    expect_pin({"partition[2-blocks]", "ag", 30, seed, 60 * 30, 0, 1800,
+                productive[seed - 1], 4, 60, false, false,
+                productive[seed - 1], seen[seed - 1], hashes[seed - 1]});
+  }
+}
+
+TEST(TickPhasePins, PartitionAbortOnAPhasesLastStepCountsNoTransition) {
+  // Seed 138 changes the configuration on interaction 600, the first split
+  // phase's last; the observer stops the run there, before the heal.
+  expect_pin({"partition[2-blocks]", "ag", 30, 138, kUnlimited, 600, 600, 4, 1,
+              20, false, true, 4, 1016, 0xa6a20b893c1c816bULL});
 }
 
 }  // namespace
