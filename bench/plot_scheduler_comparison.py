@@ -248,9 +248,13 @@ def overhead_rows(points, scale_rows):
     """Rows for the per-model overhead panel, from records that carry the
     optional "counters" object (POPRANK_OBS=ON builds only): null-skip
     efficiency = null_skips / (null_skips + productive_steps), i.e. the
-    fraction of scheduled interactions the engine disposed of analytically
-    instead of simulating, plus the roster rejection rate for the models
-    that keep a live pair roster."""
+    fraction of scheduled interactions that changed no agent, plus the
+    roster rejection rate for the models that keep a live pair roster.
+    Every model but uniform counts its nulls.  On the null-skipping
+    samplers the engine disposed of them analytically; in tick-by-tick
+    phases (a churn storm, partition phases, random-matching rounds) each
+    was a simulated step, and every churn fault tick counts among them, so
+    there the figure reads the null share, not work saved."""
     rows = []
     seen = set()
     items = [(p, s, rec) for (p, s, _n), rec in points.items()]

@@ -4,21 +4,16 @@
 
 namespace pp {
 
-RunResult finish_run(const Protocol& p, RunResult r, double parallel_time) {
+RunResult finish_run(const Protocol& p, RunResult r) {
   r.silent = p.is_silent();
   r.valid = p.is_valid_ranking();
-  r.parallel_time = parallel_time;
+  r.parallel_time = static_cast<double>(r.interactions) /
+                    static_cast<double>(p.num_agents());
   PP_ASSERT_MSG(r.interactions >= r.productive_steps,
                 "engine contract: interactions >= productive_steps");
   PP_ASSERT_MSG(!r.silent || p.productive_weight() == 0,
                 "engine contract: silent implies productive_weight()==0");
   return r;
-}
-
-RunResult finish_run(const Protocol& p, RunResult r) {
-  return finish_run(p, r,
-                    static_cast<double>(r.interactions) /
-                        static_cast<double>(p.num_agents()));
 }
 
 bool advance_past_nulls(Rng& rng, GeometricFailures& gaps, double prob,
@@ -40,18 +35,9 @@ bool advance_past_nulls(Rng& rng, GeometricFailures& gaps, double prob,
 }
 
 RunResult run_accelerated(Protocol& p, Rng& rng, const RunOptions& opt) {
-  const u64 n = p.num_agents();
-  PP_ASSERT_MSG(n >= 2, "run_accelerated needs n >= 2 (no pairs otherwise)");
-  // The uniform scheduler as a run_exact sampler: W productive pairs out
-  // of n(n-1), and the protocol draws the productive pair itself.
-  struct UniformPairs {
-    const Protocol& proto;
-    double pairs;
-    double productive_probability() const {
-      return static_cast<double>(proto.productive_weight()) / pairs;
-    }
-    void fire(Protocol& q, Rng& g) const { q.step_productive(g); }
-  } uniform{p, static_cast<double>(n) * static_cast<double>(n - 1)};
+  PP_ASSERT_MSG(p.num_agents() >= 2,
+                "run_accelerated needs n >= 2 (no pairs otherwise)");
+  UniformPairs uniform{p};
   return run_exact(p, rng, opt, uniform);
 }
 

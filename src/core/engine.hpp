@@ -14,9 +14,8 @@
 // samples the gap length in closed form and replays only productive
 // interactions.  The resulting trajectory has the same distribution as the
 // naive simulation — tests/test_engine.cpp validates this against
-// run_uniform statistically.  The loop itself is run_exact, which the
-// accelerated scheduler paths (src/schedulers/) drive with their own
-// samplers.
+// run_uniform statistically.  The loop itself is run_exact, which every
+// scheduler in src/schedulers/ drives with its own sampler.
 //
 // run_uniform simulates every interaction; it is the reference
 // implementation used in tests and small demos.
@@ -74,38 +73,62 @@ bool advance_past_nulls(Rng& rng, GeometricFailures& gaps, double prob,
                         u64 budget, u64& interactions);
 
 /// The one exit path of every engine and scheduler: stamps silent/valid
-/// from the protocol, installs `parallel_time` and enforces the RunResult
-/// contract that observers and the parallel runner rely on: interactions
-/// never undercounts productive_steps, and `silent` stays defined as
+/// from the protocol, sets parallel_time = interactions / n (random
+/// matching overwrites it with rounds) and enforces the RunResult contract
+/// that observers and the parallel runner rely on: interactions never
+/// undercounts productive_steps, and `silent` stays defined as
 /// productive_weight()==0 on the protocol object itself.  The second
 /// assert is a tripwire against future drift (e.g. silent becoming a
 /// cached flag that can go stale); an *independent* recount of silence
 /// from the formal transition function lives in tests/test_engine.cpp,
 /// not on the hot path.
-RunResult finish_run(const Protocol& p, RunResult r, double parallel_time);
-
-/// finish_run with the default parallel time, interactions / n.
 RunResult finish_run(const Protocol& p, RunResult r);
 
-/// The exact null-skipping loop under run_accelerated and every
-/// accelerated scheduler path (graph-restricted, weighted, dynamic graph).
-/// `s` exposes productive_probability() — the per-step chance of an event,
-/// 0 once none can happen — and fire(p, rng), which samples one event and
-/// applies it.  The loop skips a geometric run of nulls, fires, and repeats
-/// until the probability is 0, the budget runs out or the observer aborts.
-/// Two optional capabilities, detected from the sampler's type:
-///   * fire may return false for an event that changed no agent (edge
-///     flips only); the loop counts it as a null and goes on.
+/// What one event did, for a run_exact sampler whose fire is not void.
+enum class Fired {
+  kNull,   ///< changed no agent (edges flipped, a burst undid itself)
+  kStep,   ///< a productive protocol step
+  kFault,  ///< a churn burst changed agents: a null, but observed
+};
+
+/// The uniform scheduler as a run_exact sampler (run_accelerated, and the
+/// end of churn and partition): W productive pairs out of n(n-1).
+struct UniformPairs {
+  const Protocol& proto;
+  double pairs = static_cast<double>(proto.num_agents()) *
+                 static_cast<double>(proto.num_agents() - 1);
+  double productive_probability() const {
+    return static_cast<double>(proto.productive_weight()) / pairs;
+  }
+  void fire(Protocol& q, Rng& g) const { q.step_productive(g); }
+};
+
+inline constexpr u64 kNoHorizon = ~u64{0};  ///< past a sampler's last change
+
+/// The event loop of every scheduler but the two test oracles (run_uniform
+/// and graph-restricted's naive path).  `s` exposes
+/// productive_probability() — the per-step chance of an event, 0 once none
+/// can happen, 1 in a tick-by-tick phase (no gap is drawn then) — and
+/// fire(p, rng), which samples one event and applies it.  The loop skips a
+/// geometric run of nulls, fires, and repeats until the probability is 0,
+/// the budget runs out or the observer aborts.  Optional, by type:
+///   * fire returns a Fired, not void: kNull and kFault count as nulls,
+///     and only kFault reaches the observer.
 ///   * horizon() and on_horizon(rng) name a step where the sampler changes
-///     (a rewire epoch's end).  Gaps are capped there, which
-///     memorylessness makes exact; on_horizon runs when the loop stands on
-///     the horizon inside the budget: a gap overran it, a fire landed on
-///     it, or a stuck but non-silent sampler jumped to it.
+///     (the end of a rewire epoch, churn storm, partition phase or matching
+///     round).  Gaps are capped there, which memorylessness makes exact;
+///     on_horizon runs when the loop stands on the horizon inside the
+///     budget: a gap overran it, a fire landed on it, or a stuck but
+///     non-silent sampler jumped to it.
 /// Every interaction passed is counted once, in kProductiveSteps or in
 /// kNullSkips, so the two sum to RunResult::interactions.
 template <class Sampler>
 RunResult run_exact(Protocol& p, Rng& rng, const RunOptions& opt,
                     Sampler& s) {
+  using FireResult = decltype(s.fire(p, rng));
+  static_assert(std::is_void_v<FireResult> ||
+                    std::is_same_v<FireResult, Fired>,
+                "a run_exact sampler's fire returns void or Fired");
   constexpr bool kHorizon = requires(Sampler& x, Rng& g) {
     { x.horizon() } -> std::convertible_to<u64>;
     x.on_horizon(g);
@@ -136,15 +159,20 @@ RunResult run_exact(Protocol& p, Rng& rng, const RunOptions& opt,
       if (cap < budget) continue;  // stopped at the horizon
       break;
     }
-    if constexpr (std::is_void_v<decltype(s.fire(p, rng))>) {
+    Fired fired = Fired::kStep;
+    if constexpr (std::is_void_v<FireResult>) {
       s.fire(p, rng);
-    } else if (!s.fire(p, rng)) {
-      PP_OBS_INC(kNullSkips);  // the event changed no agent
-      continue;
+    } else {
+      fired = s.fire(p, rng);
     }
-    ++r.productive_steps;
-    PP_OBS_INC(kProductiveSteps);
-    PP_OBS_TRACE_STEP(r.interactions);
+    if (fired != Fired::kStep) {
+      PP_OBS_INC(kNullSkips);  // no step of the protocol
+      if (fired == Fired::kNull) continue;
+    } else {
+      ++r.productive_steps;
+      PP_OBS_INC(kProductiveSteps);
+      PP_OBS_TRACE_STEP(r.interactions);
+    }
     if (opt.on_change && !opt.on_change(p, r.interactions)) {
       r.aborted = true;
       break;

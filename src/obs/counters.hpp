@@ -47,8 +47,9 @@ namespace pp::obs {
 
 enum class Counter : u32 {
   kProductiveSteps,    ///< productive firings (== productive_steps)
-  kNullSkips,          ///< nulls run_exact passes (skipped gaps, flip-only
-                       ///< events, stuck jumps, the budget-clamped rest):
+  kNullSkips,          ///< nulls run_exact passes (skipped gaps, null
+                       ///< ticks, every churn fault tick, flip-only events,
+                       ///< stuck jumps, the budget-clamped rest):
                        ///< + kProductiveSteps == its interactions
   kFenwickUpdates,     ///< Fenwick point updates (add/set with delta != 0)
   kGroupTouches,       ///< GroupedKernelSampler group members scanned

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "obs/counters.hpp"
 
 namespace pp {
 namespace {
@@ -41,24 +40,22 @@ i64 rank_coverage_delta(const std::vector<Count>& counts, u64 num_ranks,
   return delta;
 }
 
-}  // namespace
-
-AdversarialScheduler::AdversarialScheduler(AdversaryPolicy policy)
-    : policy_(policy),
-      name_(std::string("adversarial[") + adversary_policy_name(policy) +
-            "]") {}
-
-RunResult AdversarialScheduler::run(Protocol& p, Rng& rng,
-                                    const RunOptions& opt) const {
-  const u64 states = p.num_states();
-  const u64 num_ranks = p.num_ranks();
-
-  RunResult r;
-  std::vector<Candidate> candidates;
+// The greedy adversary as a run_exact sampler.  It never fires a null step:
+// every step is an event (probability 1 until silence, so no gap is drawn)
+// and every fire a productive one.
+struct GreedyFirings {
+  const Protocol& proto;
+  AdversaryPolicy policy;
+  std::vector<Candidate> candidates{};
   StateId stubborn_s1 = kNoState, stubborn_s2 = kNoState;
 
-  while (r.interactions < opt.max_interactions) {
+  double productive_probability() const {
+    return proto.is_silent() ? 0.0 : 1.0;
+  }
+
+  void fire(Protocol& p, Rng& rng) {
     const std::vector<Count>& counts = p.counts();
+    const u64 states = p.num_states();
     candidates.clear();
     u64 total_weight = 0;
     for (StateId s1 = 0; s1 < states; ++s1) {
@@ -72,10 +69,10 @@ RunResult AdversarialScheduler::run(Protocol& p, Rng& rng,
         total_weight += counts[s1] * c2;
       }
     }
-    if (candidates.empty()) break;  // silent
+    PP_ASSERT(!candidates.empty());  // not silent
 
     const Candidate* pick = nullptr;
-    switch (policy_) {
+    switch (policy) {
       case AdversaryPolicy::kRandomProductive: {
         u64 t = rng.below(total_weight);
         for (const auto& c : candidates) {
@@ -101,7 +98,7 @@ RunResult AdversarialScheduler::run(Protocol& p, Rng& rng,
       case AdversaryPolicy::kMinRankCoverage: {
         i64 best = 5;  // any candidate changes coverage by at most +-4
         for (const auto& c : candidates) {
-          const i64 d = rank_coverage_delta(counts, num_ranks, c);
+          const i64 d = rank_coverage_delta(counts, p.num_ranks(), c);
           if (d < best) {
             best = d;
             pick = &c;
@@ -123,21 +120,23 @@ RunResult AdversarialScheduler::run(Protocol& p, Rng& rng,
       }
     }
     PP_ASSERT(pick != nullptr);
-    // apply_pair keeps the protocol's counts/Fenwick bookkeeping live the
-    // whole run (the retired run_adversarial worked on a local count vector
-    // and published once at the end) — same δ, same trajectory, but the
-    // observer sees a consistent protocol after every firing.
+    // apply_pair keeps the protocol's bookkeeping live, so the observer
+    // sees a consistent protocol after every firing.
     p.apply_pair(pick->s1, pick->s2);
-    ++r.interactions;
-    ++r.productive_steps;
-    PP_OBS_INC(kProductiveSteps);
-    if (opt.on_change && !opt.on_change(p, r.interactions)) {
-      r.aborted = true;
-      break;
-    }
   }
+};
 
-  return finish_run(p, r);
+}  // namespace
+
+AdversarialScheduler::AdversarialScheduler(AdversaryPolicy policy)
+    : policy_(policy),
+      name_(std::string("adversarial[") + adversary_policy_name(policy) +
+            "]") {}
+
+RunResult AdversarialScheduler::run(Protocol& p, Rng& rng,
+                                    const RunOptions& opt) const {
+  GreedyFirings firings{p, policy_};
+  return run_exact(p, rng, opt, firings);
 }
 
 }  // namespace pp

@@ -24,13 +24,10 @@
 // the line protocol admits infinite productive schedules — the whp bound
 // genuinely needs the scheduler's randomness.
 //
-// This is the Scheduler port of the retired core/adversary.cpp entry point
-// (run_adversarial): the candidate enumeration, the policy tie-breaking and
-// the generator consumption are unchanged, so trajectories are bit-identical
-// seed-for-seed — tests/test_adversary.cpp pins them with values recorded
-// from the pre-port implementation.  The budget is RunOptions::
-// max_interactions, counted in *productive* firings (the adversary never
-// fires a null step), so interactions == productive_steps always.
+// The adversary is a run_exact sampler whose every step is an event;
+// tests/test_adversary.cpp pins its trajectories seed for seed.  The budget
+// is RunOptions::max_interactions, counted in *productive* firings (the
+// adversary never fires a null step), so interactions == productive_steps.
 //
 // Enumeration is O(states^2) per step, so this is a small-n analysis tool,
 // not a performance path.

@@ -12,17 +12,19 @@
 //     configurable reset distribution (ChurnReset) — the kill/respawn of
 //     an agent whose memory is re-initialised arbitrarily.
 //
-// After `active` ticks the storm stops and the run continues *clean* under
-// the accelerated uniform engine until silence or budget exhaustion, so a
-// churn run ends exactly like the fault-storm tests always did: abuse, then
-// prove recovery.  active = 0 resolves to 50 n at run time (a storm long
-// enough to hit a stabilised population many times over).
+// The storm's end, after `active` ticks, is a run_exact horizon; past it
+// the sampler is run_accelerated's (UniformPairs), so the run continues
+// *clean* until silence or budget exhaustion — a churn run ends exactly
+// like the fault-storm tests always did: abuse, then prove recovery.
+// active = 0 resolves to 50 n at run time (a storm long enough to hit a
+// stabilised population many times over).
 //
 // Accounting: RunResult::interactions counts ticks (fault events occupy a
 // scheduler slot, null meetings included); productive_steps counts only
 // δ-driven configuration changes; fault_events counts the injected faults
 // (so tests can assert the storm actually corrupted the run);
-// parallel_time = ticks / n.
+// parallel_time = ticks / n.  A fault tick is one null in kNullSkips,
+// and reaches the observer only if its burst changed the configuration.
 //
 // Fault cost.  By default each fault event applies its teleports through
 // the Protocol's O(log n) mutation API (uniform_agent_state / move_agent)
@@ -57,12 +59,8 @@ class ChurnScheduler final : public Scheduler {
                 const RunOptions& opt = {}) const override;
 
  private:
-  double rate_;
-  u64 faults_;
-  u64 active_;
-  ChurnReset reset_;
-  bool rebuild_reference_;
-  std::string name_;  // "churn[<rate>{x<faults>}/<reset>{/dense-ref}]"
+  SchedulerSpec spec_;  // kChurn: the knobs, and the name built from them
+  std::string name_;    // "churn[<rate>{x<faults>}/<reset>{/dense-ref}]"
 };
 
 }  // namespace pp

@@ -381,7 +381,7 @@ struct SparseMarkovState {
 // productive (probability q).  The gap to the next event is therefore
 // exactly geometric, which is what keeps null-skipping alive on a topology
 // that changes.  An event that only flips edges changes no agent, so fire
-// reports it as not productive.
+// reports it as Fired::kNull.
 template <typename State>
 struct MarkovEvents {
   State& graph;
@@ -401,7 +401,7 @@ struct MarkovEvents {
     return event;
   }
 
-  bool fire(Protocol& p, Rng& rng) {
+  Fired fire(Protocol& p, Rng& rng) {
     // q == 0 forces the flip branch outright: the draw below can round
     // onto the event probability exactly, and firing with no productive
     // pair would be nonsense.
@@ -411,7 +411,9 @@ struct MarkovEvents {
       graph.apply_flips(rng, draw_flip_counts(rng, graph.absent_count(),
                                               graph.present_count(), birth,
                                               death, no_births, no_deaths));
-      if (!rng.bernoulli(graph.productive_probability())) return false;
+      if (!rng.bernoulli(graph.productive_probability())) {
+        return Fired::kNull;
+      }
     }
     const auto [ini, res] = graph.sample_productive(rng);
     const auto [si, sr] = p.apply_pair(graph.state[ini], graph.state[res]);
@@ -420,7 +422,7 @@ struct MarkovEvents {
     graph.state[res] = sr;
     graph.refresh_vertex(ini);
     graph.refresh_vertex(res);
-    return true;
+    return Fired::kStep;
   }
 };
 

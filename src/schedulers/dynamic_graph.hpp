@@ -43,8 +43,8 @@
 //     edge by truncated-geometric inversion, the rest binomially) —
 //     bit-for-bit the distribution of flipping every edge every step, at
 //     O(flips + productive steps + events) cost.  An event whose slot then
-//     draws a null pair changed no agent: fire reports it as not
-//     productive, and run_exact counts it as a null interaction.
+//     draws a null pair changed no agent: fire reports it as
+//     Fired::kNull, and run_exact counts it as a null interaction.
 //
 // The edge-Markovian model stores only the *present* edge set by default
 // (a hash-indexed roster on schedulers/pair_sampler's DirectedPairRoster:

@@ -10,9 +10,10 @@
 //                network link between the blocks were down;
 //   heal phase   (`heal` interactions): all pairs interact again;
 //
-// for `cycles` rounds, then leaves the population healed and runs clean to
-// silence under the accelerated uniform engine.  Phase lengths of 0 resolve
-// to 20 n at run time.
+// for `cycles` rounds, then leaves the population healed.  Phase ends are
+// run_exact horizons; past the last one the sampler is run_accelerated's
+// (UniformPairs), so the run ends clean to silence.  Phase lengths of 0
+// resolve to 20 n at run time.
 //
 // This extends the self-stabilisation story beyond pair choice: every block
 // converges towards a *locally* consistent (and globally wrong) state while
@@ -41,11 +42,8 @@ class PartitionScheduler final : public Scheduler {
                 const RunOptions& opt = {}) const override;
 
  private:
-  u64 blocks_;
-  u64 split_;
-  u64 heal_;
-  u64 cycles_;
-  std::string name_;  // "partition[<blocks>-blocks]"
+  SchedulerSpec spec_;  // kPartition: the knobs, and the name built from them
+  std::string name_;    // "partition[<blocks>-blocks]"
 };
 
 }  // namespace pp

@@ -334,27 +334,4 @@ SchedulerPtr make_scheduler(const SchedulerSpec& spec, u64 n) {
   return nullptr;
 }
 
-namespace detail {
-
-void run_clean_tail(Protocol& p, Rng& rng, const RunOptions& opt,
-                    RunResult& r) {
-  if (r.aborted || p.is_silent() || r.interactions >= opt.max_interactions) {
-    return;
-  }
-  RunOptions tail;
-  tail.max_interactions = opt.max_interactions - r.interactions;
-  if (opt.on_change) {
-    const u64 base = r.interactions;
-    const auto& outer = opt.on_change;
-    tail.on_change = [&outer, base](const Protocol& q, u64 k) {
-      return outer(q, base + k);
-    };
-  }
-  const RunResult clean = run_accelerated(p, rng, tail);
-  r.interactions += clean.interactions;
-  r.productive_steps += clean.productive_steps;
-  r.aborted = clean.aborted;
-}
-
-}  // namespace detail
 }  // namespace pp

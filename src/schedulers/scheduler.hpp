@@ -75,16 +75,19 @@
 //   partition:        interactions / n, blocked cross-partition meetings
 //                     included as null interactions.
 //
-// Termination.  Every scheduler stops at silence (productive_weight() == 0)
-// or on budget/observer abort.  The graph-restricted scheduler additionally
-// stops when no *edge* of its graph is productive while distant pairs still
-// would be ("locally stuck") — the run then reports silent = false, which
-// is exactly how non-stabilisation under a restricted topology shows up in
-// the aggregates.  The dynamic-graph schedulers ride out locally stuck
-// phases (the topology will change) and only stop early when the dynamics
-// themselves are frozen.  The adversarial scheduler stops when no productive pair
-// exists (true silence) or when the budget runs out (the adversary found an
-// infinite productive schedule — reported as silent = false).
+// Termination.  Every scheduler is a sampler on run_exact (core/engine.hpp)
+// but the uniform oracle, and stops at silence (productive_weight() == 0)
+// or on budget/observer abort — a churn storm runs its full length, and
+// random matching notices silence between rounds.  The graph-restricted
+// scheduler additionally stops when no *edge* of its graph is productive
+// while distant pairs still would be ("locally stuck") — the run then
+// reports silent = false, which is exactly how non-stabilisation under a
+// restricted topology shows up in the aggregates.  The dynamic-graph
+// schedulers ride out locally stuck phases (the topology will change) and
+// only stop early when the dynamics themselves are frozen.  The
+// adversarial scheduler stops when no productive pair exists (true
+// silence) or when the budget runs out (the adversary found an infinite
+// productive schedule — reported as silent = false).
 //
 // Scheduler objects hold only immutable configuration (e.g. a shared
 // topology); all per-run state lives inside run(), so one instance can be
@@ -274,15 +277,4 @@ std::vector<SchedulerSpec> standard_scheduler_menu();
 /// shared Scheduler contract on every protocol.
 std::vector<SchedulerSpec> all_scheduler_specs();
 
-namespace detail {
-
-/// Shared tail of the fault-model schedulers (churn, partition): once the
-/// hostile phase is over, runs `p` clean to silence under the accelerated
-/// uniform engine on the budget remaining in `opt`, with the observer
-/// offset by the interactions already elapsed, and merges the counters
-/// into `r`.  No-op if `r` is aborted or the budget is spent.
-void run_clean_tail(Protocol& p, Rng& rng, const RunOptions& opt,
-                    RunResult& r);
-
-}  // namespace detail
 }  // namespace pp

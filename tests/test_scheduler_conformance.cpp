@@ -17,8 +17,8 @@
 //     (and used in full unless the run ends silent or locally stuck), and
 //     an observer that returns false stops the run on that very call;
 //   * work counters add up (instrumented builds): kProductiveSteps equals
-//     productive_steps, and on the run_exact paths every interaction is
-//     either a closed-form null skip or a productive step;
+//     productive_steps, and on every run_exact scheduler (all but uniform)
+//     each interaction is either a null or a productive step;
 //   * determinism: the same seed through the same (const, stateless)
 //     scheduler instance reproduces the trajectory exactly — identical
 //     RunResult and identical final configuration;
@@ -116,23 +116,16 @@ class SchedulerConformance : public ::testing::TestWithParam<Case> {
   }
 
   // The counters of the last run_once account for its RunResult: every
-  // productive step is counted once, and a run_exact path (accelerated
-  // uniform, weighted, graph-restricted, dynamic) counts each of its
-  // interactions either as a null skip or as a productive step.
+  // productive step is counted once, and every scheduler on run_exact (all
+  // but the tick-by-tick uniform oracle) counts each of its interactions
+  // either as a null or as a productive step.
   void expect_counters_add_up(const RunResult& r) const {
 #if PP_OBS
     using obs::Counter;
     const u64 productive = work_.get(Counter::kProductiveSteps);
     EXPECT_EQ(productive, r.productive_steps);
-    switch (GetParam().spec.kind) {
-      case SchedulerKind::kAcceleratedUniform:
-      case SchedulerKind::kWeighted:
-      case SchedulerKind::kGraphRestricted:
-      case SchedulerKind::kDynamicGraph:
-        EXPECT_EQ(work_.get(Counter::kNullSkips) + productive, r.interactions);
-        break;
-      default:
-        break;
+    if (GetParam().spec.kind != SchedulerKind::kUniform) {
+      EXPECT_EQ(work_.get(Counter::kNullSkips) + productive, r.interactions);
     }
 #else
     (void)r;
