@@ -75,10 +75,10 @@
 //   partition:        interactions / n, blocked cross-partition meetings
 //                     included as null interactions.
 //
-// Termination.  Every scheduler is a sampler on run_exact (core/engine.hpp)
-// but the uniform oracle, and stops at silence (productive_weight() == 0)
-// or on budget/observer abort — a churn storm runs its full length, and
-// random matching notices silence between rounds.  The graph-restricted
+// Termination.  All but the uniform oracle run on run_exact (core/engine.hpp)
+// and stop at silence (productive_weight() == 0) or on budget/observer
+// abort; a churn storm runs its full length, and random matching notices
+// silence only between rounds.  The graph-restricted
 // scheduler additionally stops when no *edge* of its graph is productive
 // while distant pairs still would be ("locally stuck") — the run then
 // reports silent = false, which is exactly how non-stabilisation under a
