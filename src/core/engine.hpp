@@ -113,7 +113,7 @@ inline constexpr u64 kNoHorizon = ~u64{0};  ///< past a sampler's last change
 /// geometric run of nulls, fires, and repeats until the probability is 0,
 /// the budget runs out or the observer aborts.  Optional, by type:
 ///   * fire returns a Fired, not void: kNull and kFault count as nulls,
-///     and only kFault reaches the observer.
+///     and kFault, having changed agents, still reaches the observer.
 ///   * horizon() and on_horizon(rng) name a step where the sampler changes
 ///     (the end of a rewire epoch, churn storm, partition phase or matching
 ///     round).  Gaps are capped there, which memorylessness makes exact;
