@@ -847,6 +847,41 @@ TEST(HierarchicalPins, SparseMarkovTrajectory) {
   EXPECT_EQ(r.productive_steps, 68u);
 }
 
+TEST(HierarchicalPins, SparseMarkovAtScale) {
+  // ring-of-traps at n = 10^4 on a cycle whose edges die at 2/n per step:
+  // about two births and two deaths per step, so over a 2n budget the
+  // death batches often take the roster's back entry, which the n = 32
+  // run above rarely does.  Recorded before the roster kept one tree.
+  struct Expected {
+    u64 seed, interactions, productive_steps, calls, next_draw;
+  };
+  const Expected runs[] = {{1, 20000, 0, 0, 0x5192cef7dfcd09a7ULL},
+                           {2, 20000, 0, 0, 0xa772ee7990d56fc5ULL},
+                           {3, 20000, 1, 1, 0x534288a07dabbd52ULL}};
+  const u64 n = 10000;
+  SchedulerSpec spec = dynamic_cycle_spec(GraphDynamics::kEdgeMarkovian);
+  spec.edge_death = 2.0 / static_cast<double>(n);
+  const DynamicGraphScheduler sched(spec, n);
+  for (const Expected& want : runs) {
+    ProtocolPtr p = make_protocol("ring-of-traps", n);
+    Rng rng(want.seed);
+    p->reset(initial::uniform_random(*p, rng));
+    u64 calls = 0;
+    RunOptions opt;
+    opt.max_interactions = 2 * n;
+    opt.on_change = [&calls](const Protocol&, u64) {
+      ++calls;
+      return true;
+    };
+    const RunResult r = sched.run(*p, rng, opt);
+    EXPECT_EQ(r.interactions, want.interactions) << want.seed;
+    EXPECT_EQ(r.productive_steps, want.productive_steps) << want.seed;
+    EXPECT_FALSE(r.silent) << want.seed;
+    EXPECT_EQ(calls, want.calls) << want.seed;
+    EXPECT_EQ(rng.bits(), want.next_draw) << want.seed;
+  }
+}
+
 TEST(HierarchicalPins, DenseMarkovTrajectory) {
   // The dense reference draws its flip counts through the same conditioned
   // births/deaths construction as the sparse path.
