@@ -108,7 +108,8 @@ inline constexpr u64 kNoHorizon = ~u64{0};  ///< past a sampler's last change
 /// The event loop of every scheduler but the two test oracles (run_uniform
 /// and graph-restricted's naive path).  `s` exposes
 /// productive_probability() — the per-step chance of an event, 0 once none
-/// can happen, 1 in a tick-by-tick phase (no gap is drawn then) — and
+/// can happen, 1 in a tick-by-tick phase (the loop then steps one
+/// interaction without advance_past_nulls: no gap, no sketch entry) — and
 /// fire(p, rng), which samples one event and applies it.  The loop skips a
 /// geometric run of nulls, fires, and repeats until the probability is 0,
 /// the budget runs out or the observer aborts.  Optional, by type:
@@ -155,7 +156,13 @@ RunResult run_exact(Protocol& p, Rng& rng, const RunOptions& opt,
       }
       break;
     }
-    if (!advance_past_nulls(rng, gaps, prob, cap, r.interactions)) {
+    if (prob >= 1.0) {  // a tick: the event is the next step, no gap
+      if (r.interactions >= cap) {
+        if (cap < budget) continue;  // stopped at the horizon
+        break;
+      }
+      ++r.interactions;
+    } else if (!advance_past_nulls(rng, gaps, prob, cap, r.interactions)) {
       if (cap < budget) continue;  // stopped at the horizon
       break;
     }

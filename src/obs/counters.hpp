@@ -71,7 +71,8 @@ enum class Counter : u32 {
 inline constexpr u32 kNumCounters = static_cast<u32>(Counter::kCount);
 
 enum class Sketch : u32 {
-  kNullSkipGap,   ///< gap length per closed-form null skip
+  kNullSkipGap,   ///< gap length per closed-form null skip (tick phases,
+                  ///< at event probability 1, record none)
   kFenwickDepth,  ///< tree levels written per Fenwick update
   kGroupSize,     ///< group size per hierarchical-sampler touch
   kFaultBurst,    ///< agents moved per churn fault event

@@ -61,15 +61,20 @@ u64 Rng::geometric_failures_log(double log_q) {
 }
 
 u64 Rng::geometric_failures_truncated(double p, u64 bound) {
+  // 1 - q^bound, computed as -expm1(bound * log q) to keep precision when
+  // q^bound is close to 1 (tiny p * bound).
+  const double log_q = std::log1p(-p);
+  return geometric_failures_truncated(
+      p, log_q, bound, -std::expm1(static_cast<double>(bound) * log_q));
+}
+
+u64 Rng::geometric_failures_truncated(double p, double log_q, u64 bound,
+                                      double mass) {
   PP_ASSERT_MSG(p > 0.0 && bound >= 1,
                 "truncated geometric needs p > 0 and a non-empty range");
   if (p >= 1.0 || bound == 1) return 0;
   // Inversion of P(X <= k | X < bound) = (1 - q^(k+1)) / (1 - q^bound):
   // draw u uniform, return floor(log(1 - u * (1 - q^bound)) / log q).
-  const double log_q = std::log1p(-p);
-  // 1 - q^bound, computed as -expm1(bound * log q) to keep precision when
-  // q^bound is close to 1 (tiny p * bound).
-  const double mass = -std::expm1(static_cast<double>(bound) * log_q);
   const double u = real01();
   const double f = std::floor(std::log1p(-u * mass) / log_q);
   const u64 k = f > 0.0 ? static_cast<u64>(f) : 0;
@@ -77,13 +82,17 @@ u64 Rng::geometric_failures_truncated(double p, u64 bound) {
 }
 
 u64 Rng::binomial(u64 m, double p) {
+  return binomial(m, p, std::log1p(-p));
+}
+
+u64 Rng::binomial(u64 m, double p, double log_q) {
   if (m == 0 || p <= 0.0) return 0;
   if (p >= 1.0) return m;
   if (p > 0.5) return m - binomial(m, 1.0 - p);
   u64 successes = 0;
   u64 remaining = m;
   while (true) {
-    const u64 gap = geometric_failures(p);
+    const u64 gap = geometric_failures_log(log_q);
     if (gap == kGeometricInfinity || gap >= remaining) return successes;
     remaining -= gap + 1;
     ++successes;
@@ -99,13 +108,19 @@ std::pair<u64, u64> Rng::ordered_pair(u64 n) {
 }
 
 std::vector<u64> Rng::sample_distinct(u64 n, u64 k) {
-  PP_ASSERT(k <= n);
   std::vector<u64> out;
-  out.reserve(k);
-  if (k == 0) return out;
+  sample_distinct(n, k, out);
+  return out;
+}
+
+void Rng::sample_distinct(u64 n, u64 k, std::vector<u64>& out) {
+  PP_ASSERT(k <= n);
+  out.clear();
+  if (k == 0) return;
   if (k * 4 <= n) {
     // Floyd's algorithm: expected O(k) with a sorted membership vector
     // (k is small here, so linear membership checks are fine).
+    out.reserve(k);
     for (u64 j = n - k; j < n; ++j) {
       const u64 t = below(j + 1);
       if (std::find(out.begin(), out.end(), t) == out.end()) {
@@ -115,17 +130,16 @@ std::vector<u64> Rng::sample_distinct(u64 n, u64 k) {
       }
     }
   } else {
-    std::vector<u64> all(n);
-    for (u64 i = 0; i < n; ++i) all[i] = i;
+    out.resize(n);
+    for (u64 i = 0; i < n; ++i) out[i] = i;
     // Partial Fisher-Yates: the first k positions become the sample.
     for (u64 i = 0; i < k; ++i) {
       const u64 j = i + below(n - i);
-      std::swap(all[i], all[j]);
+      std::swap(out[i], out[j]);
     }
-    out.assign(all.begin(), all.begin() + static_cast<i64>(k));
+    out.resize(k);
   }
   shuffle(out);
-  return out;
 }
 
 Rng Rng::split() {

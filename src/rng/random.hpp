@@ -8,6 +8,8 @@
 //   * Fisher-Yates shuffling and distinct-pair sampling.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -63,11 +65,23 @@ class Rng {
   /// flip of a step already known to contain one).
   u64 geometric_failures_truncated(double p, u64 bound);
 
+  /// geometric_failures_truncated(p, bound) given log_q = log1p(-p) and
+  /// mass = -expm1(bound * log_q), the chance of a success within `bound`
+  /// trials: the same draw and the same result, bit for bit, without the
+  /// log1p and the expm1 (a caller that reuses a bound keeps its mass).
+  u64 geometric_failures_truncated(double p, double log_q, u64 bound,
+                                   double mass);
+
   /// Number of successes among `m` independent Bernoulli(p) trials.
   /// Expected O(1 + m * min(p, 1-p)) time by jumping between successes
   /// with geometric_failures — exact, and fast precisely in the sparse
   /// regime (m * p small) where the edge-Markovian dynamics live.
   u64 binomial(u64 m, double p);
+
+  /// binomial(m, p) given log_q = log1p(-p): the same draws and the same
+  /// result, bit for bit.  log_q goes unused when p > 0.5, where the
+  /// count is taken as m minus a Binomial(m, 1 - p) failure count.
+  u64 binomial(u64 m, double p, double log_q);
 
   /// Ordered pair of *distinct* indices in [0, n).  Requires n >= 2.
   /// Models the paper's random scheduler: (initiator, responder).
@@ -88,6 +102,11 @@ class Rng {
   /// small k and partial Fisher-Yates otherwise.
   std::vector<u64> sample_distinct(u64 n, u64 k);
 
+  /// sample_distinct(n, k) written into `out` (its previous contents are
+  /// dropped, its capacity reused): the same draws and the same values in
+  /// the same order.
+  void sample_distinct(u64 n, u64 k, std::vector<u64>& out);
+
   /// Split off an independent generator (2^128 apart on the xoshiro orbit).
   Rng split();
 
@@ -97,26 +116,39 @@ class Rng {
   Xoshiro256pp gen_;
 };
 
-/// Rng::geometric_failures with log1p(-p) memoised on the exact double p.
-/// The null-skipping loops draw one gap per event, and the productive
-/// weight behind p often survives an event unchanged (a rule that passes
-/// a collision on, counts (2, 1) -> (1, 2), nets zero), so most draws
-/// skip the log1p.  Draws and results are those of geometric_failures(p).
+/// Rng::geometric_failures with log1p(-p) memoised on the exact double p,
+/// in a small direct-mapped table.  The null-skipping loops draw one gap
+/// per event, and the p behind a gap often recurs: the productive weight
+/// often survives an event unchanged (a rule that passes a collision on,
+/// counts (2, 1) -> (1, 2), nets zero), and an edge-Markovian step's
+/// event probability is a function of its present-edge count, which
+/// random-walks over a few nearby values.  So most draws skip the log1p.
+/// Draws and results are those of geometric_failures(p).
 class GeometricFailures {
  public:
   u64 operator()(Rng& rng, double p) {
     if (p >= 1.0) return 0;
     if (p <= 0.0) return Rng::kGeometricInfinity;
-    if (p != p_) {
-      p_ = p;
-      log_q_ = std::log1p(-p);
+    if (p != memo_[last_].p) {  // the last p first, then its own slot
+      last_ = static_cast<u32>(
+          (std::bit_cast<u64>(p) * 0x9e3779b97f4a7c15ULL) >> (64 - kSlotBits));
+      Memo& m = memo_[last_];
+      if (p != m.p) {
+        m.p = p;
+        m.log_q = std::log1p(-p);
+      }
     }
-    return rng.geometric_failures_log(log_q_);
+    return rng.geometric_failures_log(memo_[last_].log_q);
   }
 
  private:
-  double p_ = 0.0;  // never a key: p <= 0 returns above
-  double log_q_ = 0.0;
+  static constexpr u32 kSlotBits = 6;
+  struct Memo {
+    double p = 0.0;  // never a key: p <= 0 returns above
+    double log_q = 0.0;
+  };
+  std::array<Memo, 1u << kSlotBits> memo_{};
+  u32 last_ = 0;
 };
 
 }  // namespace pp

@@ -1,9 +1,9 @@
 #include "schedulers/dynamic_graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -19,13 +19,41 @@ constexpr u32 kNotInList = static_cast<u32>(-1);
 // default and the rewire model track live edges only).
 constexpr u64 kMaxMarkovPopulation = 4096;
 
-// (1 - q)^m with the edge cases pinned down before std::exp can produce
-// 0 * inf = NaN.
-double no_success_prob(u64 m, double q) {
-  if (m == 0 || q <= 0.0) return 1.0;
-  if (q >= 1.0) return 0.0;
-  return std::exp(static_cast<double>(m) * std::log1p(-q));
-}
+// One per-step flip rate with its log1p(-rate), taken once per run.
+struct FlipRate {
+  double p;
+  double log_q;
+  explicit FlipRate(double rate) : p(rate), log_q(std::log1p(-rate)) {}
+
+  // (1 - p)^m with the edge cases pinned down before std::exp can produce
+  // 0 * inf = NaN.
+  double none_of(u64 m) const {
+    if (m == 0 || p <= 0.0) return 1.0;
+    if (p >= 1.0) return 0.0;
+    return std::exp(static_cast<double>(m) * log_q);
+  }
+};
+
+// What one step's flip odds depend on, for a given present-edge count:
+// A = P(no births) and B = P(no deaths), the flip probability 1 - A B, and
+// the chance of a birth (death) within the absent (present) pairs as the
+// truncated geometric takes it, -expm1(count * log_q).
+struct FlipOdds {
+  u64 present = ~u64{0};
+  double no_births = 1.0, no_deaths = 1.0, flip = 0.0;
+  double birth_mass = 0.0, death_mass = 0.0;
+
+  FlipOdds() = default;
+  FlipOdds(u64 absent, u64 present_count, const FlipRate& birth,
+           const FlipRate& death)
+      : present(present_count),
+        no_births(birth.none_of(absent)),
+        no_deaths(death.none_of(present_count)),
+        flip(1.0 - no_births * no_deaths),
+        birth_mass(-std::expm1(static_cast<double>(absent) * birth.log_q)),
+        death_mass(
+            -std::expm1(static_cast<double>(present_count) * death.log_q)) {}
+};
 
 struct FlipCounts {
   u64 births = 0;
@@ -40,35 +68,126 @@ struct FlipCounts {
 // binomials.  When one category has zero mass (A == 1 or B == 1), route to
 // the other directly: u can round exactly onto the boundary, and the
 // comparison must never select an impossible branch.
-FlipCounts draw_flip_counts(Rng& rng, u64 absent, u64 present, double birth,
-                            double death, double A, double B) {
+FlipCounts draw_flip_counts(Rng& rng, u64 absent, u64 present,
+                            const FlipRate& birth, const FlipRate& death,
+                            const FlipOdds& odds) {
   FlipCounts c;
-  const bool births_possible = absent > 0 && birth > 0.0;
-  const bool deaths_possible = present > 0 && death > 0.0;
-  const double u = rng.real01() * (1.0 - A * B);
+  const bool births_possible = absent > 0 && birth.p > 0.0;
+  const bool deaths_possible = present > 0 && death.p > 0.0;
+  const double A = odds.no_births;
+  const double u = rng.real01() * (1.0 - A * odds.no_deaths);
   if (births_possible && (!deaths_possible || u < 1.0 - A)) {
-    const u64 first = rng.geometric_failures_truncated(birth, absent);
-    c.births = 1 + rng.binomial(absent - 1 - first, birth);
-    c.deaths = rng.binomial(present, death);
+    const u64 first = rng.geometric_failures_truncated(
+        birth.p, birth.log_q, absent, odds.birth_mass);
+    c.births = 1 + rng.binomial(absent - 1 - first, birth.p, birth.log_q);
+    c.deaths = rng.binomial(present, death.p, death.log_q);
   } else {
-    const u64 first = rng.geometric_failures_truncated(death, present);
-    c.deaths = 1 + rng.binomial(present - 1 - first, death);
+    const u64 first = rng.geometric_failures_truncated(
+        death.p, death.log_q, present, odds.death_mass);
+    c.deaths = 1 + rng.binomial(present - 1 - first, death.p, death.log_q);
   }
   return c;
 }
 
-// Per-vertex adjacency over pair ids: adj[v] lists the ids incident to v,
-// ends[id] = (u, v) and pos[id] = (id's index in adj[u], in adj[v]).
-// Swap-removes `id` from both lists, re-indexing the ids moved into them.
-void unlink_pair(std::vector<std::vector<u32>>& adj,
-                 std::vector<std::pair<u32, u32>>& pos,
-                 const std::vector<std::pair<u32, u32>>& ends, u32 id) {
-  for (const u32 vtx : {ends[id].first, ends[id].second}) {
+// An open-addressing set of u64 keys: linear probing, and backward-shift
+// deletion, so an erase leaves no tombstone behind.  It holds no payload
+// and allocates only when it doubles past half load, so a flip that adds
+// or drops a key allocates nothing.  ~0 marks an empty slot and is never a
+// key.
+class KeySet {
+ public:
+  explicit KeySet(u64 expected) {
+    rehash(std::bit_ceil(std::max<u64>(2 * expected, 16)));
+  }
+
+  bool contains(u64 key) const {
+    for (u64 i = home(key);; i = (i + 1) & mask_) {
+      if (slot_[i] == key) return true;
+      if (slot_[i] == kEmpty) return false;
+    }
+  }
+
+  void insert(u64 key) {
+    PP_DCHECK(key != kEmpty);
+    if (2 * (size_ + 1) > slot_.size()) rehash(2 * slot_.size());
+    u64 i = home(key);
+    for (; slot_[i] != kEmpty; i = (i + 1) & mask_) {
+      if (slot_[i] == key) return;
+    }
+    slot_[i] = key;
+    ++size_;
+  }
+
+  void erase(u64 key) {
+    u64 hole = home(key);
+    for (; slot_[hole] != key; hole = (hole + 1) & mask_) {
+      if (slot_[hole] == kEmpty) return;
+    }
+    // Shift the rest of the probe run back: an entry may fill the hole
+    // unless its home lies cyclically in (hole, j].
+    for (u64 j = (hole + 1) & mask_; slot_[j] != kEmpty; j = (j + 1) & mask_) {
+      if (((j - home(slot_[j])) & mask_) >= ((j - hole) & mask_)) {
+        slot_[hole] = slot_[j];
+        hole = j;
+      }
+    }
+    slot_[hole] = kEmpty;
+    --size_;
+  }
+
+ private:
+  static constexpr u64 kEmpty = ~u64{0};
+
+  // Fibonacci hashing: the top bits of key times 2^64 / phi.
+  u64 home(u64 key) const { return (key * 0x9e3779b97f4a7c15ULL) >> shift_; }
+
+  void rehash(u64 slots) {
+    std::vector<u64> old = std::move(slot_);
+    slot_.assign(slots, kEmpty);
+    mask_ = slots - 1;
+    shift_ = 64 - static_cast<u32>(std::countr_zero(slots));
+    size_ = 0;
+    for (const u64 key : old) {
+      if (key != kEmpty) insert(key);
+    }
+  }
+
+  std::vector<u64> slot_;
+  u64 mask_ = 0;
+  u32 shift_ = 0;
+  u64 size_ = 0;
+};
+
+// Per vertex, the ids of the pairs incident to it.
+using Adjacency = std::vector<std::vector<u32>>;
+
+// A pair's endpoints (u < v) and its index in each endpoint's list of the
+// adjacency.
+struct Link {
+  u32 u = 0, v = 0;
+  u32 at_u = 0, at_v = 0;
+};
+
+// Appends pair `id` to both endpoints' lists.
+void link_pair(Adjacency& adj, std::vector<Link>& links, u32 id) {
+  Link& l = links[id];
+  l.at_u = static_cast<u32>(adj[l.u].size());
+  l.at_v = static_cast<u32>(adj[l.v].size());
+  adj[l.u].push_back(id);
+  adj[l.v].push_back(id);
+}
+
+// Swap-removes pair `id` from both endpoints' lists, re-indexing the ids
+// moved into them.
+void unlink_pair(Adjacency& adj, std::vector<Link>& links, u32 id) {
+  const Link l = links[id];
+  for (const auto& [vtx, idx] :
+       {std::pair{l.u, l.at_u}, std::pair{l.v, l.at_v}}) {
     std::vector<u32>& list = adj[vtx];
-    const u32 idx = ends[id].first == vtx ? pos[id].first : pos[id].second;
     const u32 moved = list.back();
     list[idx] = moved;
-    (ends[moved].first == vtx ? pos[moved].first : pos[moved].second) = idx;
+    Link& m = links[moved];
+    (m.u == vtx ? m.at_u : m.at_v) = idx;
     list.pop_back();
   }
 }
@@ -93,14 +212,12 @@ struct MarkovState {
   const Protocol& p;
   u64 n;
   u64 num_pairs;
-  std::vector<StateId> state;                // per vertex
-  std::vector<std::pair<u32, u32>> uv;       // pair id -> (u, v), u < v
-  PairSampler pairs;                         // directed ids 2*pid + orient
-  std::vector<u32> present, absent;          // pair ids, unordered
-  std::vector<u32> where;                    // pair id -> index in its list
-  std::vector<std::vector<u32>> adj;         // per vertex: present pair ids
-  std::vector<std::pair<u32, u32>> adj_pos;  // pair id -> index in adj[u],
-                                             // adj[v]
+  std::vector<StateId> state;         // per vertex
+  std::vector<Link> links;            // pair id -> (u, v), u < v, adj index
+  PairSampler pairs;                  // directed ids 2*pid + orient
+  std::vector<u32> present, absent;   // pair ids, unordered
+  std::vector<u32> where;             // pair id -> index in its list
+  Adjacency adj;                      // per vertex: present pair ids
 
   MarkovState(const InteractionGraph& g, const Protocol& proto,
               std::vector<StateId> placement)
@@ -108,9 +225,9 @@ struct MarkovState {
         n(placement.size()),
         num_pairs(n * (n - 1) / 2),
         state(std::move(placement)) {
-    uv.reserve(num_pairs);
+    links.reserve(num_pairs);
     for (u32 u = 0; u < n; ++u) {
-      for (u32 v = u + 1; v < n; ++v) uv.emplace_back(u, v);
+      for (u32 v = u + 1; v < n; ++v) links.push_back({u, v});
     }
     // Seed the present set from the initial topology (parallel edges of a
     // multigraph collapse to one — the pair universe is simple), then
@@ -121,7 +238,8 @@ struct MarkovState {
     std::vector<u64> weights(2 * num_pairs, 0);
     std::vector<u8> flags(2 * num_pairs, 0);
     for (u32 pid = 0; pid < num_pairs; ++pid) {
-      const auto [a, b] = uv[pid];
+      const u32 a = links[pid].u;
+      const u32 b = links[pid].v;
       weights[2 * pid] = weights[2 * pid + 1] = seeded[pid] ? 1 : 0;
       flags[2 * pid] = pair_is_productive(p, state[a], state[b]) ? 1 : 0;
       flags[2 * pid + 1] = pair_is_productive(p, state[b], state[a]) ? 1 : 0;
@@ -129,12 +247,11 @@ struct MarkovState {
     pairs.reset(std::move(weights), std::move(flags));
     where.assign(num_pairs, kNotInList);
     adj.resize(n);
-    adj_pos.assign(num_pairs, {0, 0});
     for (u32 pid = 0; pid < num_pairs; ++pid) {
       if (seeded[pid]) {
         where[pid] = static_cast<u32>(present.size());
         present.push_back(pid);
-        adj_add(pid);
+        link_pair(adj, links, pid);
       } else {
         where[pid] = static_cast<u32>(absent.size());
         absent.push_back(pid);
@@ -148,14 +265,6 @@ struct MarkovState {
     return pairs.productive_probability();
   }
 
-  void adj_add(u32 pid) {
-    const auto [a, b] = uv[pid];
-    adj_pos[pid] = {static_cast<u32>(adj[a].size()),
-                    static_cast<u32>(adj[b].size())};
-    adj[a].push_back(pid);
-    adj[b].push_back(pid);
-  }
-
   u32 pair_id(u32 a, u32 b) const {
     const u64 u = std::min(a, b);
     const u64 v = std::max(a, b);
@@ -167,7 +276,8 @@ struct MarkovState {
   }
 
   void refresh_pair(u32 pid) {
-    const auto [a, b] = uv[pid];
+    const u32 a = links[pid].u;
+    const u32 b = links[pid].v;
     pairs.set_productive(2 * static_cast<u64>(pid),
                          pair_is_productive(p, state[a], state[b]));
     pairs.set_productive(2 * static_cast<u64>(pid) + 1,
@@ -195,9 +305,9 @@ struct MarkovState {
       // Born: the flags may be stale from state changes while the pair
       // was absent — recompute them before the weight makes them count.
       refresh_pair(pid);
-      adj_add(pid);
+      link_pair(adj, links, pid);
     } else {
-      unlink_pair(adj, adj_pos, uv, pid);
+      unlink_pair(adj, links, pid);
     }
     pairs.set_weight(2 * static_cast<u64>(pid), now ? 1 : 0);
     pairs.set_weight(2 * static_cast<u64>(pid) + 1, now ? 1 : 0);
@@ -224,37 +334,42 @@ struct MarkovState {
   /// A productive present pair as (initiator, responder).
   std::pair<u32, u32> sample_productive(Rng& rng) const {
     const u64 d = pairs.sample_productive(rng);
-    const auto [a, b] = uv[static_cast<u32>(d >> 1)];
-    return (d & 1) ? std::make_pair(b, a) : std::make_pair(a, b);
+    const Link& l = links[static_cast<u32>(d >> 1)];
+    return (d & 1) ? std::make_pair(l.v, l.u) : std::make_pair(l.u, l.v);
   }
 };
 
 // The sparse default state of the edge-Markovian model: only the present
-// edge set is materialised — a hash-indexed DirectedPairRoster plus
-// per-vertex adjacency over live entries, O(n + present edges) memory
-// against the dense path's Θ(n²).  The step distribution is unchanged:
-// flip counts come from the same conditioned truncated-geometric +
-// binomial construction (the absent count is arithmetic: P - present),
-// death victims are a uniform distinct sample of the roster, and birth
-// victims are drawn by rejection — uniform pairs of the arithmetic
-// universe, resampled while they hit the thin present set (or an earlier
-// victim of the same step), which is exactly a uniform distinct sample of
-// the absent set.  Rejection is cheap precisely in the sparse regime the
-// model targets (present ≪ P); the worst case (a near-complete graph,
-// where expected retries approach P / absent) is only reachable at the
-// small populations the dense-seeded specs use.
+// edge set is materialised — a DirectedPairRoster with a flat membership
+// index of the present pairs, plus per-vertex adjacency over live entries,
+// O(n + present edges) memory against the dense path's Θ(n²).  The step
+// distribution is unchanged: flip counts come from the same conditioned
+// truncated-geometric + binomial construction (the absent count is
+// arithmetic: P - present), death victims are a uniform distinct sample of
+// the roster, and birth victims are drawn by rejection — uniform pairs of
+// the arithmetic universe, resampled while they hit the thin present set
+// (or an earlier victim of the same step), which is exactly a uniform
+// distinct sample of the absent set.  Rejection is cheap precisely in the
+// sparse regime the model targets (present ≪ P); the worst case (a
+// near-complete graph, where expected retries approach P / absent) is only
+// reachable at the small populations the dense-seeded specs use.
 struct SparseMarkovState {
+  static constexpr u32 kNotDying = ~u32{0};
+
   const Protocol& p;
   u64 n;
   u64 num_pairs;  // P = n(n-1)/2
   std::vector<StateId> state;                 // per vertex
   DirectedPairRoster roster;                  // live entries = present pairs
-  std::vector<std::pair<u32, u32>> ends;      // entry -> (u, v), u < v
-  std::vector<std::pair<u32, u32>> adj_pos;   // entry -> index in adj[u], [v]
-  std::vector<std::vector<u32>> adj;          // per vertex: entry ids
-  std::unordered_map<u64, u32> entry_of;      // pair key -> entry id
-  std::vector<std::pair<u32, u32>> born_scratch_, died_scratch_;  // reused
-                                              // across flip steps
+  std::vector<Link> links;                    // entry -> (u, v), u < v, adj
+  Adjacency adj;                              // per vertex: entry ids
+  KeySet present;                             // key(u, v) of present pairs
+  // One flip step's victims, reused across steps: the born pairs, the
+  // dying entry ids, and per entry its index in dying (kNotDying if none),
+  // so a swap-remove that moves a dying entry repoints it in O(1).
+  std::vector<std::pair<u32, u32>> born;
+  std::vector<u64> dying;
+  std::vector<u32> dying_at;
 
   SparseMarkovState(const InteractionGraph& g, const Protocol& proto,
                     std::vector<StateId> placement)
@@ -262,13 +377,13 @@ struct SparseMarkovState {
         n(placement.size()),
         num_pairs(n * (n - 1) / 2),
         state(std::move(placement)),
-        roster(2 * g.num_edges() + 16) {
+        roster(2 * g.num_edges() + 16),
+        present(2 * g.num_edges()) {
     adj.resize(n);
-    entry_of.reserve(2 * g.num_edges());
     for (const auto& [u, v] : g.edges()) {
       const u32 lo = std::min(u, v);
       const u32 hi = std::max(u, v);
-      if (entry_of.count(key(lo, hi)) != 0) continue;  // multigraph collapse
+      if (present.contains(key(lo, hi))) continue;  // multigraph collapse
       add_present(lo, hi);
     }
   }
@@ -288,88 +403,85 @@ struct SparseMarkovState {
   void add_present(u32 u, u32 v) {
     PP_DCHECK(u < v);
     const u64 e = roster.add(productive(u, v), productive(v, u));
-    PP_DCHECK(e == ends.size());
-    ends.emplace_back(u, v);
-    adj_pos.emplace_back(static_cast<u32>(adj[u].size()),
-                         static_cast<u32>(adj[v].size()));
-    adj[u].push_back(static_cast<u32>(e));
-    adj[v].push_back(static_cast<u32>(e));
-    entry_of.emplace(key(u, v), static_cast<u32>(e));
+    PP_DCHECK(e == links.size());
+    links.push_back({u, v});
+    link_pair(adj, links, static_cast<u32>(e));
+    dying_at.push_back(kNotDying);
+    present.insert(key(u, v));
   }
 
   void remove_present(u32 e) {
-    const auto [u, v] = ends[e];
-    unlink_pair(adj, adj_pos, ends, e);
-    entry_of.erase(key(u, v));
+    present.erase(key(links[e].u, links[e].v));
+    unlink_pair(adj, links, e);
     const u64 moved = roster.remove(e);
     if (moved != DirectedPairRoster::kNoEntry) {
       // The roster swap-filled the hole with its back entry; repoint every
       // structure that knew the back entry by its old id.
-      ends[e] = ends[moved];
-      adj_pos[e] = adj_pos[moved];
-      adj[ends[e].first][adj_pos[e].first] = e;
-      adj[ends[e].second][adj_pos[e].second] = e;
-      entry_of[key(ends[e].first, ends[e].second)] = e;
+      const Link& l = links[e] = links[moved];
+      adj[l.u][l.at_u] = e;
+      adj[l.v][l.at_v] = e;
+      dying_at[e] = dying_at[moved];
+      if (dying_at[e] != kNotDying) dying[dying_at[e]] = e;
     }
-    ends.pop_back();
-    adj_pos.pop_back();
+    links.pop_back();
+    dying_at.pop_back();
   }
 
   /// Uniform distinct absent pairs by rejection against the present set
-  /// and the batch's earlier picks (written into the reused scratch).
-  void sample_absent(Rng& rng, u64 count,
-                     std::vector<std::pair<u32, u32>>& out) {
-    out.clear();
-    out.reserve(count);
-    while (out.size() < count) {
+  /// and the batch's earlier picks (written into `born`).
+  void sample_absent(Rng& rng, u64 count) {
+    born.clear();
+    born.reserve(count);
+    while (born.size() < count) {
       const auto [a, b] = rng.ordered_pair(n);
       const u32 u = static_cast<u32>(std::min(a, b));
       const u32 v = static_cast<u32>(std::max(a, b));
-      if (entry_of.count(key(u, v)) != 0) {
+      if (present.contains(key(u, v))) {
         PP_OBS_INC(kRosterRejections);
         continue;
       }
       bool duplicate = false;
-      for (const auto& picked : out) {
+      for (const auto& picked : born) {
         if (picked.first == u && picked.second == v) {
           duplicate = true;
           break;
         }
       }
-      if (!duplicate) out.emplace_back(u, v);
+      if (!duplicate) born.emplace_back(u, v);
     }
   }
 
   void refresh_vertex(u32 v) {
     for (const u32 e : adj[v]) {
-      const auto [a, b] = ends[e];
-      roster.set_flag(e, 0, productive(a, b));
-      roster.set_flag(e, 1, productive(b, a));
+      const Link& l = links[e];
+      roster.set_flag(e, 0, productive(l.u, l.v));
+      roster.set_flag(e, 1, productive(l.v, l.u));
     }
   }
 
   /// Applies one step's flips: `births` absent and `deaths` present pairs.
   void apply_flips(Rng& rng, FlipCounts flips) {
-    // Read both victim sets before mutating: births are appended after the
-    // death victims are fixed by (u, v), so neither sample disturbs the
-    // other (born pairs are absent, dying pairs present — disjoint).
-    sample_absent(rng, flips.births, born_scratch_);
-    died_scratch_.clear();
-    died_scratch_.reserve(flips.deaths);
-    for (const u64 idx : rng.sample_distinct(present_count(), flips.deaths)) {
-      died_scratch_.push_back(ends[idx]);
+    // Both victim sets are drawn before either is applied.  Births are
+    // appended behind the entries alive now, so the dying entries keep
+    // their ids until the removals start, which follow the sampled order.
+    sample_absent(rng, flips.births);
+    rng.sample_distinct(present_count(), flips.deaths, dying);
+    for (const auto& [u, v] : born) add_present(u, v);
+    for (u64 i = 0; i < dying.size(); ++i) {
+      dying_at[dying[i]] = static_cast<u32>(i);
     }
-    for (const auto& [u2, v2] : born_scratch_) add_present(u2, v2);
-    for (const auto& [u2, v2] : died_scratch_) {
-      remove_present(entry_of.at(key(u2, v2)));
+    for (u64 i = 0; i < dying.size(); ++i) {
+      const u32 e = static_cast<u32>(dying[i]);
+      dying_at[e] = kNotDying;
+      remove_present(e);
     }
   }
 
   /// A productive present pair as (initiator, responder).
   std::pair<u32, u32> sample_productive(Rng& rng) const {
     const auto [e, orient] = roster.sample_productive(rng);
-    const auto [a, b] = ends[e];
-    return orient != 0 ? std::make_pair(b, a) : std::make_pair(a, b);
+    const Link& l = links[e];
+    return orient != 0 ? std::make_pair(l.v, l.u) : std::make_pair(l.u, l.v);
   }
 };
 
@@ -384,20 +496,35 @@ struct SparseMarkovState {
 // reports it as Fired::kNull.
 template <typename State>
 struct MarkovEvents {
+  // The flip odds depend on the present-edge count alone, which
+  // random-walks around its equilibrium, so a direct-mapped memo keyed by
+  // it spares most events their exp and expm1.
+  static constexpr u64 kOddsSlots = 256;
+
   State& graph;
-  double birth, death;                      // per-step edge flip rates
-  double no_births = 1.0, no_deaths = 1.0;  // A and B of the current step
-  double flip = 0.0, productive = 0.0, event = 0.0;  // f, q, f + (1-f) q
+  FlipRate birth, death;                // per-step edge flip rates
+  std::vector<FlipOdds> odds_memo;      // slot: present count % kOddsSlots
+  const FlipOdds* odds = nullptr;       // the current step's
+  double productive = 0.0, event = 0.0;  // q and f + (1-f) q
+
+  MarkovEvents(State& g, double birth_rate, double death_rate)
+      : graph(g),
+        birth(birth_rate),
+        death(death_rate),
+        odds_memo(kOddsSlots) {}
 
   // 0 once the protocol is silent, and when the graph is frozen (f = 0)
   // on a locally stuck configuration (q = 0).
   double productive_probability() {
     if (graph.p.is_silent()) return 0.0;
-    no_births = no_success_prob(graph.absent_count(), birth);
-    no_deaths = no_success_prob(graph.present_count(), death);
-    flip = 1.0 - no_births * no_deaths;
+    const u64 present = graph.present_count();
+    FlipOdds& o = odds_memo[present % kOddsSlots];
+    if (o.present != present) {
+      o = FlipOdds(graph.absent_count(), present, birth, death);
+    }
+    odds = &o;
     productive = graph.productive_probability();
-    event = flip + (1.0 - flip) * productive;
+    event = o.flip + (1.0 - o.flip) * productive;
     return event;
   }
 
@@ -405,12 +532,12 @@ struct MarkovEvents {
     // q == 0 forces the flip branch outright: the draw below can round
     // onto the event probability exactly, and firing with no productive
     // pair would be nonsense.
-    if (productive <= 0.0 || rng.real01() * event < flip) {
+    if (productive <= 0.0 || rng.real01() * event < odds->flip) {
       // The event opens with flips; its interaction slot then draws on the
       // post-flip graph.
       graph.apply_flips(rng, draw_flip_counts(rng, graph.absent_count(),
                                               graph.present_count(), birth,
-                                              death, no_births, no_deaths));
+                                              death, *odds));
       if (!rng.bernoulli(graph.productive_probability())) {
         return Fired::kNull;
       }
@@ -531,12 +658,12 @@ RunResult DynamicGraphScheduler::run(Protocol& p, Rng& rng,
   }
   if (dense_reference_) {
     MarkovState ms(*graph_, p, std::move(placement));
-    MarkovEvents<MarkovState> events{ms, resolved_birth(), resolved_death()};
+    MarkovEvents<MarkovState> events(ms, resolved_birth(), resolved_death());
     return run_exact(p, rng, opt, events);
   }
   SparseMarkovState ms(*graph_, p, std::move(placement));
-  MarkovEvents<SparseMarkovState> events{ms, resolved_birth(),
-                                         resolved_death()};
+  MarkovEvents<SparseMarkovState> events(ms, resolved_birth(),
+                                         resolved_death());
   return run_exact(p, rng, opt, events);
 }
 

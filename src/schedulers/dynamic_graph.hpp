@@ -47,10 +47,14 @@
 //     Fired::kNull, and run_exact counts it as a null interaction.
 //
 // The edge-Markovian model stores only the *present* edge set by default
-// (a hash-indexed roster on schedulers/pair_sampler's DirectedPairRoster:
-// O(n + present edges) memory), sampling birth victims by rejection
-// against it — exact, because the absent set is the complement of a thin
-// present set in the arithmetic pair universe.  That lifts the model from
+// (schedulers/pair_sampler's DirectedPairRoster, with a flat open-addressing
+// membership index of the present pairs: O(n + present edges) memory, and
+// no allocation per flip), sampling birth victims by rejection against it
+// — exact, because the absent set is the complement of a thin present set
+// in the arithmetic pair universe.  The flip rates' logarithms are taken
+// once per run, so an eventful step pays for its flips' draws and the
+// roster's bookkeeping, and a flip whose productivity flags stay put costs
+// no tree update.  That lifts the model from
 // the old dense-list cap of n = 4096 to the n ~ 10^5 the uniform engines
 // handle.  The dense two-list implementation survives behind
 // SchedulerSpec::dense_reference ("dynamic[G/markov/dense-ref]") as the

@@ -652,28 +652,22 @@ void TrapKernelSampler::fire(Protocol& p, Rng& rng) {
 
 DirectedPairRoster::DirectedPairRoster(u64 initial_capacity) {
   capacity_ = std::max<u64>(initial_capacity, 4);
-  pairs_.reset(2 * capacity_);
+  productive_.reset(2 * capacity_);
+  flag_.assign(2 * capacity_, 0);
 }
 
 void DirectedPairRoster::grow(u64 new_capacity) {
   PP_OBS_INC(kRosterGrows);
-  std::vector<u64> weights(2 * new_capacity, 0);
-  std::vector<u8> flags(2 * new_capacity, 0);
-  for (u64 d = 0; d < 2 * size_; ++d) {
-    weights[d] = pairs_.weight(d);
-    flags[d] = pairs_.productive(d) ? 1 : 0;
-  }
   capacity_ = new_capacity;
-  pairs_.reset(std::move(weights), std::move(flags));
+  flag_.resize(2 * capacity_, 0);
+  productive_.assign(std::vector<u64>(flag_.begin(), flag_.end()));
 }
 
 u64 DirectedPairRoster::add(bool fwd_productive, bool rev_productive) {
   if (size_ == capacity_) grow(2 * capacity_);
   const u64 e = size_++;
-  pairs_.set_productive(2 * e, fwd_productive);
-  pairs_.set_productive(2 * e + 1, rev_productive);
-  pairs_.set_weight(2 * e, 1);
-  pairs_.set_weight(2 * e + 1, 1);
+  set_slot(2 * e, fwd_productive ? 1 : 0);
+  set_slot(2 * e + 1, rev_productive ? 1 : 0);
   return e;
 }
 
@@ -681,14 +675,12 @@ u64 DirectedPairRoster::remove(u64 e) {
   PP_DCHECK(e < size_);
   const u64 back = size_ - 1;
   if (e != back) {
-    // Swap-fill the hole with the back entry's slots.
-    pairs_.set_productive(2 * e, pairs_.productive(2 * back));
-    pairs_.set_productive(2 * e + 1, pairs_.productive(2 * back + 1));
+    // Swap-fill the hole with the back entry's flags.
+    set_slot(2 * e, flag_[2 * back]);
+    set_slot(2 * e + 1, flag_[2 * back + 1]);
   }
-  pairs_.set_weight(2 * back, 0);
-  pairs_.set_weight(2 * back + 1, 0);
-  pairs_.set_productive(2 * back, false);
-  pairs_.set_productive(2 * back + 1, false);
+  set_slot(2 * back, 0);
+  set_slot(2 * back + 1, 0);
   size_ = back;
   return e != back ? back : kNoEntry;
 }

@@ -52,9 +52,10 @@
 //     ring_layout trap distance, run entirely on per-trap count
 //     aggregates (O(states) memory; O(log states) per same-trap move,
 //     O(√states) per move across traps).
-//   * DirectedPairRoster — a compacting weight-1 PairSampler window for
-//     rosters that grow and shrink (the edge-Markovian present set):
-//     memory tracks the *live* edge count, not the pair universe.
+//   * DirectedPairRoster — a compacting roster of unit-weight directed
+//     pairs that grows and shrinks (the edge-Markovian present set), kept
+//     as one productive-flag tree: memory tracks the *live* edge count,
+//     not the pair universe.
 #pragma once
 
 #include <algorithm>
@@ -492,15 +493,18 @@ class TrapKernelSampler {
   Fenwick rank_diag_;            // per rank state: c(c-1)
 };
 
-/// A compacting window over PairSampler for entry sets that grow and
-/// shrink: live entries occupy indices [0, size()), each owning two
-/// directed slots (2e for entry e's forward orientation, 2e+1 for the
-/// reverse) of scheduling weight 1 with independent productivity flags.
-/// remove() swap-fills the hole from the back — the caller learns which
-/// entry moved and repoints its own bookkeeping — and add() doubles the
-/// Fenwick capacity by O(capacity) rebuild when the roster outgrows it,
-/// so memory tracks the live entry count, never a pair universe.  This is
-/// the sparse edge-Markovian model's present-edge store.
+/// A compacting roster of entries that grow and shrink: live entries
+/// occupy indices [0, size()), each owning two directed slots (2e for
+/// entry e's forward orientation, 2e+1 for the reverse) with independent
+/// productivity flags.  Every live slot has scheduling weight 1, so the
+/// only tree kept is the productive one, over the flags, and the
+/// scheduling total is 2 size() by arithmetic; a slot whose flag stays
+/// put costs no tree update.  remove() swap-fills
+/// the hole from the back — the caller learns which entry moved and
+/// repoints its own bookkeeping — and add() doubles the capacity by
+/// O(capacity) rebuild when the roster outgrows it, so memory tracks the
+/// live entry count, never a pair universe.  This is the sparse
+/// edge-Markovian model's present-edge store.
 class DirectedPairRoster {
  public:
   static constexpr u64 kNoEntry = ~static_cast<u64>(0);
@@ -520,28 +524,39 @@ class DirectedPairRoster {
 
   void set_flag(u64 e, u64 orientation, bool productive) {
     PP_DCHECK(e < size_ && orientation < 2);
-    pairs_.set_productive(2 * e + orientation, productive);
+    set_slot(2 * e + orientation, productive ? 1 : 0);
   }
 
-  u64 weight_total() const { return pairs_.weight_total(); }
-  u64 productive_total() const { return pairs_.productive_total(); }
+  u64 weight_total() const { return 2 * size_; }
+  u64 productive_total() const { return productive_.total(); }
 
   /// Productive fraction of the live directed slots (0 when empty).
   double productive_probability() const {
-    return pairs_.productive_probability();
+    if (size_ == 0) return 0.0;
+    return static_cast<double>(productive_.total()) /
+           static_cast<double>(2 * size_);
   }
 
   /// Samples a productive (entry, orientation); precondition
   /// productive_total() > 0.
   std::pair<u64, u64> sample_productive(Rng& rng) const {
-    const u64 d = pairs_.sample_productive(rng);
+    PP_DCHECK(productive_.total() > 0);
+    const u64 d = productive_.find(rng.below(productive_.total()));
     return {d >> 1, d & 1};
   }
 
  private:
   void grow(u64 new_capacity);
 
-  PairSampler pairs_;  // 2 * capacity_ slots; live slots < 2 * size_
+  /// Sets directed slot d's flag; a tree update only when it changes.
+  void set_slot(u64 d, u8 flag) {
+    if (flag_[d] == flag) return;
+    flag_[d] = flag;
+    productive_.set(d, flag);
+  }
+
+  Fenwick productive_;   // 2 * capacity_ slots: 1 on productive live slots
+  std::vector<u8> flag_;  // the same, one byte per slot
   u64 size_ = 0;
   u64 capacity_ = 0;
 };

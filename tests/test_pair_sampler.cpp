@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -279,6 +280,68 @@ TEST(DirectedPairRoster, AddRemoveCompactionAndGrowth) {
     EXPECT_EQ(orient, 0u);      // only forward orientations are flagged
     EXPECT_EQ(e % 2, 0u);       // surviving productive entries are even
   }
+}
+
+TEST(DirectedPairRoster, MatchesBruteForceFlagsUnderRandomOps) {
+  // Random adds, removes and flag flips from capacity 4, in phases that
+  // grow the roster well past it and shrink it back, against a plain flag
+  // array (two per live entry) that swap-removes the same way.  After
+  // every op the totals, the probability and a productive sample (the
+  // same below() target drawn from a copy of the generator) must agree.
+  DirectedPairRoster roster(/*initial_capacity=*/4);
+  std::vector<u8> flags;
+  Rng ops(41);
+  Rng draws(42);
+  u64 most_capacity = roster.capacity();
+  for (u64 step = 0; step < 6000; ++step) {
+    const bool growing = (step / 1000) % 2 == 0;
+    const u64 size = flags.size() / 2;
+    const u64 r = ops.below(10);
+    if (size == 0 || r < (growing ? 5u : 2u)) {
+      const bool fwd = ops.bernoulli(0.4);
+      const bool rev = ops.bernoulli(0.4);
+      ASSERT_EQ(roster.add(fwd, rev), size);
+      flags.push_back(fwd ? 1 : 0);
+      flags.push_back(rev ? 1 : 0);
+    } else if (r < 7) {
+      const u64 e = ops.below(size);
+      const u64 back = size - 1;
+      ASSERT_EQ(roster.remove(e),
+                e != back ? back : DirectedPairRoster::kNoEntry);
+      flags[2 * e] = flags[2 * back];
+      flags[2 * e + 1] = flags[2 * back + 1];
+      flags.resize(2 * back);
+    } else {
+      const u64 e = ops.below(size);
+      const u64 orient = ops.below(2);
+      const bool on = ops.bernoulli(0.5);
+      roster.set_flag(e, orient, on);
+      flags[2 * e + orient] = on ? 1 : 0;
+    }
+    most_capacity = std::max(most_capacity, roster.capacity());
+
+    u64 productive = 0;
+    for (const u8 f : flags) productive += f;
+    ASSERT_EQ(roster.size(), flags.size() / 2) << step;
+    ASSERT_EQ(roster.weight_total(), flags.size()) << step;
+    ASSERT_EQ(roster.productive_total(), productive) << step;
+    ASSERT_EQ(roster.productive_probability(),
+              flags.empty() ? 0.0
+                            : static_cast<double>(productive) /
+                                  static_cast<double>(flags.size()))
+        << step;
+    if (productive == 0) continue;
+    Rng copy = draws;
+    const u64 target = copy.below(productive);
+    u64 slot = 0;
+    for (u64 seen = 0;; ++slot) {
+      if (flags[slot] != 0 && seen++ == target) break;
+    }
+    const auto [e, orient] = roster.sample_productive(draws);
+    ASSERT_EQ(2 * e + orient, slot) << step;
+    ASSERT_EQ(draws.bits(), copy.bits()) << step;
+  }
+  EXPECT_GE(most_capacity, 256u);
 }
 
 }  // namespace

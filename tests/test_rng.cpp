@@ -179,6 +179,69 @@ TEST(Rng, GeometricFailuresTruncatedMatchesConditionedDistribution) {
   }
 }
 
+// The log_q forms against the plain ones and against the original
+// per-gap construction (geometric_failures(p) for every jump, log1p taken
+// in the truncated inversion itself): same results, same next draw.
+u64 reference_binomial(Rng& rng, u64 m, double p) {
+  if (m == 0 || p <= 0.0) return 0;
+  if (p >= 1.0) return m;
+  if (p > 0.5) return m - reference_binomial(rng, m, 1.0 - p);
+  u64 successes = 0;
+  u64 remaining = m;
+  while (true) {
+    const u64 gap = rng.geometric_failures(p);
+    if (gap == Rng::kGeometricInfinity || gap >= remaining) return successes;
+    remaining -= gap + 1;
+    ++successes;
+  }
+}
+
+u64 reference_truncated(Rng& rng, double p, u64 bound) {
+  if (p >= 1.0 || bound == 1) return 0;
+  const double log_q = std::log1p(-p);
+  const double mass = -std::expm1(static_cast<double>(bound) * log_q);
+  const double f = std::floor(std::log1p(-rng.real01() * mass) / log_q);
+  const u64 k = f > 0.0 ? static_cast<u64>(f) : 0;
+  return k < bound ? k : bound - 1;
+}
+
+TEST(Rng, LogQBinomialDrawsLikeThePlainForm) {
+  for (const double p : {1e-9, 2e-4, 0.3, 0.5, 0.7, 1.0 - 1e-9, 1.0}) {
+    for (const u64 m : {0ull, 1ull, 9ull, 10000ull, 2000000ull}) {
+      for (u64 seed = 1; seed <= 3; ++seed) {
+        Rng plain(seed), logq(seed), ref(seed);
+        const u64 want = reference_binomial(ref, m, p);
+        EXPECT_EQ(plain.binomial(m, p), want) << m << " " << p;
+        EXPECT_EQ(logq.binomial(m, p, std::log1p(-p)), want) << m << " " << p;
+        const u64 next = ref.bits();
+        EXPECT_EQ(plain.bits(), next) << m << " " << p;
+        EXPECT_EQ(logq.bits(), next) << m << " " << p;
+      }
+    }
+  }
+}
+
+TEST(Rng, LogQTruncatedGeometricDrawsLikeThePlainForm) {
+  for (const double p : {1e-9, 2e-4, 0.3, 0.7, 1.0}) {
+    for (const u64 bound : {1ull, 2ull, 50ull, 10000ull, 50000000ull}) {
+      for (u64 seed = 1; seed <= 3; ++seed) {
+        Rng plain(seed), logq(seed), ref(seed);
+        const u64 want = reference_truncated(ref, p, bound);
+        EXPECT_EQ(plain.geometric_failures_truncated(p, bound), want)
+            << bound << " " << p;
+        const double log_q = std::log1p(-p);
+        const double mass = -std::expm1(static_cast<double>(bound) * log_q);
+        EXPECT_EQ(logq.geometric_failures_truncated(p, log_q, bound, mass),
+                  want)
+            << bound << " " << p;
+        const u64 next = ref.bits();
+        EXPECT_EQ(plain.bits(), next) << bound << " " << p;
+        EXPECT_EQ(logq.bits(), next) << bound << " " << p;
+      }
+    }
+  }
+}
+
 TEST(Rng, BinomialEdgeCases) {
   Rng rng(33);
   EXPECT_EQ(rng.binomial(0, 0.5), 0u);
@@ -290,6 +353,22 @@ TEST(Rng, OrderedPairCoversAllPairsUniformly) {
       } else {
         EXPECT_NEAR(hits[a * n + b], expect, expect * 0.1);
       }
+    }
+  }
+}
+
+TEST(Rng, SampleDistinctIntoABufferMatchesTheVectorForm) {
+  // n = 100: k <= 25 takes Floyd's branch, larger k the partial
+  // Fisher-Yates one.  One buffer is reused across every call, so it
+  // arrives holding the previous (possibly longer) sample.
+  std::vector<u64> buf{7, 7, 7};
+  for (const u64 k : {0ull, 1ull, 5ull, 25ull, 26ull, 60ull, 100ull, 3ull}) {
+    for (u64 seed = 1; seed <= 3; ++seed) {
+      Rng vec(seed), into(seed);
+      const std::vector<u64> want = vec.sample_distinct(100, k);
+      into.sample_distinct(100, k, buf);
+      EXPECT_EQ(buf, want) << "k=" << k;
+      EXPECT_EQ(into.bits(), vec.bits()) << "k=" << k;
     }
   }
 }

@@ -19,6 +19,7 @@
 
 #include "common/assert.hpp"
 #include "core/initial.hpp"
+#include "obs/counters.hpp"
 #include "protocols/ag.hpp"
 #include "protocols/factory.hpp"
 #include "runner/runner.hpp"
@@ -571,6 +572,26 @@ TEST(TickPhasePins, ChurnStormThenCleanTail) {
     expect_pin({spec, "ring-of-traps", 40, 12, 1000, 0, 1000, 14, 14, 25,
                 false, false, 26, 14555, 0x1aac36605b7f7366ULL});
   }
+}
+
+TEST(TickPhasePins, ChurnStormTicksDrawNoGaps) {
+  // Every step of the storm is a tick at event probability 1: run_exact
+  // steps it without a gap, so a run whose budget ends inside the storm
+  // records no null-skip gap, and still counts each interaction once.
+  obs::CounterBlock work;
+  PinRun run;
+  {
+    const obs::ScopedCounters scope(&work);
+    run = run_pinned("churn[0.02/uniform-state]", "ring-of-traps", 40, 12,
+                     1000);
+  }
+  EXPECT_EQ(run.r.interactions, 1000u);
+#if PP_OBS
+  EXPECT_EQ(work.sketch_count(obs::Sketch::kNullSkipGap), 0u);
+  EXPECT_EQ(work.get(obs::Counter::kNullSkips) +
+                work.get(obs::Counter::kProductiveSteps),
+            run.r.interactions);
+#endif
 }
 
 TEST(TickPhasePins, PartitionPhasesThenCleanTail) {
