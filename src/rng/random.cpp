@@ -54,8 +54,9 @@ u64 Rng::geometric_failures(double p) {
 
 u64 Rng::geometric_failures_log(double log_q) {
   const double u = real01_open_left();
-  // failures = floor(ln u / ln(1-p)).
-  const double f = std::floor(std::log(u) / log_q);
+  // failures = floor(ln u / ln(1-p)); the quotient is >= 0, so the
+  // truncating conversion is the floor.
+  const double f = std::log(u) / log_q;
   if (f >= 1.8e19) return kGeometricInfinity;
   return static_cast<u64>(f);
 }
@@ -76,7 +77,7 @@ u64 Rng::geometric_failures_truncated(double p, double log_q, u64 bound,
   // Inversion of P(X <= k | X < bound) = (1 - q^(k+1)) / (1 - q^bound):
   // draw u uniform, return floor(log(1 - u * (1 - q^bound)) / log q).
   const double u = real01();
-  const double f = std::floor(std::log1p(-u * mass) / log_q);
+  const double f = std::log1p(-u * mass) / log_q;
   const u64 k = f > 0.0 ? static_cast<u64>(f) : 0;
   return k < bound ? k : bound - 1;  // guard against floating-point spill
 }
