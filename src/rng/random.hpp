@@ -8,8 +8,6 @@
 //   * Fisher-Yates shuffling and distinct-pair sampling.
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -116,39 +114,26 @@ class Rng {
   Xoshiro256pp gen_;
 };
 
-/// Rng::geometric_failures with log1p(-p) memoised on the exact double p,
-/// in a small direct-mapped table.  The null-skipping loops draw one gap
-/// per event, and the p behind a gap often recurs: the productive weight
-/// often survives an event unchanged (a rule that passes a collision on,
-/// counts (2, 1) -> (1, 2), nets zero), and an edge-Markovian step's
-/// event probability is a function of its present-edge count, which
-/// random-walks over a few nearby values.  So most draws skip the log1p.
-/// Draws and results are those of geometric_failures(p).
+/// Rng::geometric_failures with log1p(-p) memoised on the exact double p.
+/// The null-skipping loops draw one gap per event, and the productive
+/// weight behind p often survives an event unchanged (a rule that passes
+/// a collision on, counts (2, 1) -> (1, 2), nets zero), so most draws
+/// skip the log1p.  Draws and results are those of geometric_failures(p).
 class GeometricFailures {
  public:
   u64 operator()(Rng& rng, double p) {
     if (p >= 1.0) return 0;
     if (p <= 0.0) return Rng::kGeometricInfinity;
-    if (p != memo_[last_].p) {  // the last p first, then its own slot
-      last_ = static_cast<u32>(
-          (std::bit_cast<u64>(p) * 0x9e3779b97f4a7c15ULL) >> (64 - kSlotBits));
-      Memo& m = memo_[last_];
-      if (p != m.p) {
-        m.p = p;
-        m.log_q = std::log1p(-p);
-      }
+    if (p != p_) {
+      p_ = p;
+      log_q_ = std::log1p(-p);
     }
-    return rng.geometric_failures_log(memo_[last_].log_q);
+    return rng.geometric_failures_log(log_q_);
   }
 
  private:
-  static constexpr u32 kSlotBits = 6;
-  struct Memo {
-    double p = 0.0;  // never a key: p <= 0 returns above
-    double log_q = 0.0;
-  };
-  std::array<Memo, 1u << kSlotBits> memo_{};
-  u32 last_ = 0;
+  double p_ = 0.0;  // never a key: p <= 0 returns above
+  double log_q_ = 0.0;
 };
 
 }  // namespace pp
