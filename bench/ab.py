@@ -12,9 +12,10 @@ Each tree runs its own perfbench/run.py with --trace 0, so both sides
 measure with their own copy of the benchmark.  Remove the worktrees with
 `git worktree remove --force .bench_build/ab/base` (and .../head).
 
-For every workload it first runs each side once for --warmup seconds
+For every workload it first runs each side once for WARMUP_SECONDS
 (which also builds it), then N pairs at the same seed, the seed
-advancing by one per pair and the side that runs first alternating.  It
+advancing by one per pair and the side that runs first alternating.
+Each paired run lasts the run_seconds that BENCHMARK.json fixes.  It
 reads the end-to-end metrics BENCHMARK.json lists, with their direction,
 and gives each (workload, metric) a verdict by the pair rule:
 
@@ -49,6 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 AB_DIR = ROOT / ".bench_build" / "ab"
 HISTORY = ROOT / "bench" / "perf_history.jsonl"
 WIN_SHARE = 0.9
+WARMUP_SECONDS = 2
 
 
 def percentile(xs, q):
@@ -145,8 +147,6 @@ def main():
     ap.add_argument("--head", help="head revision (default: this tree)")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--warmup", type=float, default=2)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", default="BENCH_ab.json")
     ap.add_argument("--history", default=str(HISTORY))
@@ -155,8 +155,9 @@ def main():
         ap.error("--pairs must be at least 1")
 
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as f:
-        metrics = {m["name"]: m["better"]
-                   for m in json.load(f)["end_to_end"]}
+        bench = json.load(f)
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     base_tree, base_sha = checkout("base", args.base)
     if args.head:
         head_tree, head_sha = checkout("head", args.head)
@@ -170,14 +171,14 @@ def main():
     rows = []
     for workload in args.workload:
         for tree in sides.values():
-            run_side(tree, workload, args.seed, args.warmup)
+            run_side(tree, workload, args.seed, WARMUP_SECONDS)
         values = {"base": [], "head": []}
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
                 values[side].append(
-                    run_side(sides[side], workload, seed, args.seconds))
+                    run_side(sides[side], workload, seed, seconds))
             got = {s: values[s][-1].get("trials_per_s") for s in order}
             print(f"ab: {workload} pair {i + 1}/{args.pairs} seed {seed} "
                   f"trials/s base {got['base']} head {got['head']}",
@@ -189,7 +190,7 @@ def main():
                 rows.append(summarise(workload, metric, better, base, head))
 
     header = {"kind": "run", "base": base_sha, "head": head_sha,
-              "pairs": args.pairs, "seconds": args.seconds,
+              "pairs": args.pairs, "seconds": seconds,
               "seed": args.seed, "nproc": os.cpu_count(),
               "cpu": cpu_model()}
     with open(args.out, "w", encoding="utf-8") as f:
