@@ -32,27 +32,11 @@ struct FlipRate {
     if (p >= 1.0) return 0.0;
     return std::exp(static_cast<double>(m) * log_q);
   }
-};
 
-// What one step's flip odds depend on, for a given present-edge count:
-// A = P(no births) and B = P(no deaths), the flip probability 1 - A B, and
-// the chance of a birth (death) within the absent (present) pairs as the
-// truncated geometric takes it, -expm1(count * log_q).
-struct FlipOdds {
-  u64 present = ~u64{0};
-  double no_births = 1.0, no_deaths = 1.0, flip = 0.0;
-  double birth_mass = 0.0, death_mass = 0.0;
-
-  FlipOdds() = default;
-  FlipOdds(u64 absent, u64 present_count, const FlipRate& birth,
-           const FlipRate& death)
-      : present(present_count),
-        no_births(birth.none_of(absent)),
-        no_deaths(death.none_of(present_count)),
-        flip(1.0 - no_births * no_deaths),
-        birth_mass(-std::expm1(static_cast<double>(absent) * birth.log_q)),
-        death_mass(
-            -std::expm1(static_cast<double>(present_count) * death.log_q)) {}
+  // 1 - (1 - p)^m as the truncated geometric takes it, -expm1(m * log_q).
+  double some_of(u64 m) const {
+    return -std::expm1(static_cast<double>(m) * log_q);
+  }
 };
 
 struct FlipCounts {
@@ -70,20 +54,19 @@ struct FlipCounts {
 // comparison must never select an impossible branch.
 FlipCounts draw_flip_counts(Rng& rng, u64 absent, u64 present,
                             const FlipRate& birth, const FlipRate& death,
-                            const FlipOdds& odds) {
+                            double A, double B) {
   FlipCounts c;
   const bool births_possible = absent > 0 && birth.p > 0.0;
   const bool deaths_possible = present > 0 && death.p > 0.0;
-  const double A = odds.no_births;
-  const double u = rng.real01() * (1.0 - A * odds.no_deaths);
+  const double u = rng.real01() * (1.0 - A * B);
   if (births_possible && (!deaths_possible || u < 1.0 - A)) {
     const u64 first = rng.geometric_failures_truncated(
-        birth.p, birth.log_q, absent, odds.birth_mass);
+        birth.p, birth.log_q, absent, birth.some_of(absent));
     c.births = 1 + rng.binomial(absent - 1 - first, birth.p, birth.log_q);
     c.deaths = rng.binomial(present, death.p, death.log_q);
   } else {
     const u64 first = rng.geometric_failures_truncated(
-        death.p, death.log_q, present, odds.death_mass);
+        death.p, death.log_q, present, death.some_of(present));
     c.deaths = 1 + rng.binomial(present - 1 - first, death.p, death.log_q);
   }
   return c;
@@ -496,35 +479,23 @@ struct SparseMarkovState {
 // reports it as Fired::kNull.
 template <typename State>
 struct MarkovEvents {
-  // The flip odds depend on the present-edge count alone, which
-  // random-walks around its equilibrium, so a direct-mapped memo keyed by
-  // it spares most events their exp and expm1.
-  static constexpr u64 kOddsSlots = 256;
-
   State& graph;
-  FlipRate birth, death;                // per-step edge flip rates
-  std::vector<FlipOdds> odds_memo;      // slot: present count % kOddsSlots
-  const FlipOdds* odds = nullptr;       // the current step's
-  double productive = 0.0, event = 0.0;  // q and f + (1-f) q
+  FlipRate birth, death;                    // per-step edge flip rates
+  double no_births = 1.0, no_deaths = 1.0;  // A and B of the current step
+  double flip = 0.0, productive = 0.0, event = 0.0;  // f, q, f + (1-f) q
 
   MarkovEvents(State& g, double birth_rate, double death_rate)
-      : graph(g),
-        birth(birth_rate),
-        death(death_rate),
-        odds_memo(kOddsSlots) {}
+      : graph(g), birth(birth_rate), death(death_rate) {}
 
   // 0 once the protocol is silent, and when the graph is frozen (f = 0)
   // on a locally stuck configuration (q = 0).
   double productive_probability() {
     if (graph.p.is_silent()) return 0.0;
-    const u64 present = graph.present_count();
-    FlipOdds& o = odds_memo[present % kOddsSlots];
-    if (o.present != present) {
-      o = FlipOdds(graph.absent_count(), present, birth, death);
-    }
-    odds = &o;
+    no_births = birth.none_of(graph.absent_count());
+    no_deaths = death.none_of(graph.present_count());
+    flip = 1.0 - no_births * no_deaths;
     productive = graph.productive_probability();
-    event = o.flip + (1.0 - o.flip) * productive;
+    event = flip + (1.0 - flip) * productive;
     return event;
   }
 
@@ -532,12 +503,12 @@ struct MarkovEvents {
     // q == 0 forces the flip branch outright: the draw below can round
     // onto the event probability exactly, and firing with no productive
     // pair would be nonsense.
-    if (productive <= 0.0 || rng.real01() * event < odds->flip) {
+    if (productive <= 0.0 || rng.real01() * event < flip) {
       // The event opens with flips; its interaction slot then draws on the
       // post-flip graph.
       graph.apply_flips(rng, draw_flip_counts(rng, graph.absent_count(),
                                               graph.present_count(), birth,
-                                              death, *odds));
+                                              death, no_births, no_deaths));
       if (!rng.bernoulli(graph.productive_probability())) {
         return Fired::kNull;
       }
