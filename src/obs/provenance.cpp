@@ -1,5 +1,6 @@
 #include "obs/provenance.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -57,17 +58,10 @@ void put(std::string& out, std::string_view key, std::string_view value) {
   out.push_back(';');
 }
 
-void put_u(std::string& out, std::string_view key, u64 v) {
-  put(out, key, std::to_string(v));
-}
-
-void put_d(std::string& out, std::string_view key, double v) {
-  put(out, key, fmt_double(v));
-}
-
-template <typename E>
-void put_enum(std::string& out, std::string_view key, E v) {
-  put_u(out, key, static_cast<u64>(v));
+// A u64 over the whole token: no sign, space or trailing byte.
+bool read_u64(std::string_view t, u64& out) {
+  const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
+  return ec == std::errc() && end == t.data() + t.size();
 }
 
 // How TrialSpec::init serialises: the runner's implicit default, the
@@ -84,34 +78,13 @@ std::string init_kind(const TrialSpec& spec) {
 std::string spec_to_kv(const TrialSpec& spec) {
   std::string out;
   put(out, "protocol", spec.protocol);
-  put_u(out, "n", spec.n);
+  put(out, "n", std::to_string(spec.n));
   put(out, "factory", spec.factory ? "custom" : "registry");
   put(out, "init", init_kind(spec));
-  put_enum(out, "engine", spec.engine);
-  put_u(out, "max_interactions", spec.max_interactions);
+  put(out, "engine", engine_kind_name(spec.engine));
+  put(out, "max_interactions", std::to_string(spec.max_interactions));
   put(out, "label", spec.label);
-
-  const SchedulerSpec& s = spec.scheduler;
-  put_enum(out, "sched.kind", s.kind);
-  put_enum(out, "sched.graph", s.graph);
-  put_u(out, "sched.degree", s.degree);
-  put_u(out, "sched.graph_seed", s.graph_seed);
-  put_enum(out, "sched.kernel", s.kernel);
-  put_u(out, "sched.kernel_power", s.kernel_power);
-  put_u(out, "sched.dense_reference", s.dense_reference ? 1 : 0);
-  put_enum(out, "sched.dynamics", s.dynamics);
-  put_d(out, "sched.edge_birth", s.edge_birth);
-  put_d(out, "sched.edge_death", s.edge_death);
-  put_u(out, "sched.rewire_period", s.rewire_period);
-  put_enum(out, "sched.adversary", s.adversary);
-  put_d(out, "sched.churn_rate", s.churn_rate);
-  put_u(out, "sched.churn_faults", s.churn_faults);
-  put_u(out, "sched.churn_active", s.churn_active);
-  put_enum(out, "sched.churn_reset", s.churn_reset);
-  put_u(out, "sched.partition_blocks", s.partition_blocks);
-  put_u(out, "sched.partition_split", s.partition_split);
-  put_u(out, "sched.partition_heal", s.partition_heal);
-  put_u(out, "sched.partition_cycles", s.partition_cycles);
+  put(out, "sched", spec.scheduler.to_string());
   return out;
 }
 
@@ -129,83 +102,51 @@ std::string spec_hash(const TrialSpec& spec) {
   return buf;
 }
 
-TrialSpec spec_from_kv(const std::string& kv) {
+std::optional<TrialSpec> spec_from_kv(std::string_view kv) {
   TrialSpec spec;
-  SchedulerSpec& s = spec.scheduler;
   u64 pos = 0;
   while (pos < kv.size()) {
     const u64 eq = kv.find('=', pos);
-    PP_ASSERT_MSG(eq != std::string::npos, "malformed spec kv: missing '='");
-    const u64 semi = kv.find(';', eq + 1);
-    PP_ASSERT_MSG(semi != std::string::npos, "malformed spec kv: missing ';'");
-    const std::string key = kv.substr(pos, eq - pos);
-    const std::string val = kv.substr(eq + 1, semi - eq - 1);
+    const u64 semi = kv.find(';', pos);
+    // A value holding '=' is malformed too: spec_to_kv never writes one.
+    if (semi == std::string_view::npos || eq >= semi ||
+        kv.find('=', eq + 1) < semi) {
+      return std::nullopt;
+    }
+    const std::string_view key = kv.substr(pos, eq - pos);
+    const std::string_view val = kv.substr(eq + 1, semi - eq - 1);
     pos = semi + 1;
 
-    const auto as_u = [&val] { return std::strtoull(val.c_str(), nullptr, 10); };
-    const auto as_d = [&val] { return std::strtod(val.c_str(), nullptr); };
-
+    bool ok = true;
     if (key == "protocol") {
       spec.protocol = val;
     } else if (key == "n") {
-      spec.n = as_u();
+      ok = read_u64(val, spec.n);
     } else if (key == "factory") {
-      PP_ASSERT_MSG(val == "registry",
-                    "spec_from_kv: custom factories are not replayable");
-    } else if (key == "init") {
-      PP_ASSERT_MSG(val == "default" || val == "uniform-random",
-                    "spec_from_kv: custom init generators are not replayable");
+      ok = val == "registry";  // a custom factory is not replayable
+    } else if (key == "init") {  // nor is a custom init generator
+      ok = val == "default" || val == "uniform-random";
       if (val == "uniform-random") spec.init = gen_uniform_random();
-    } else if (key == "engine") {
-      spec.engine = static_cast<EngineKind>(as_u());
+    } else if (key == "engine") {  // an unknown name fails the last check
+      for (const EngineKind k : {EngineKind::kAccelerated, EngineKind::kUniform,
+                                 EngineKind::kScheduled}) {
+        if (val == engine_kind_name(k)) spec.engine = k;
+      }
     } else if (key == "max_interactions") {
-      spec.max_interactions = as_u();
+      ok = read_u64(val, spec.max_interactions);
     } else if (key == "label") {
       spec.label = val;
-    } else if (key == "sched.kind") {
-      s.kind = static_cast<SchedulerKind>(as_u());
-    } else if (key == "sched.graph") {
-      s.graph = static_cast<GraphKind>(as_u());
-    } else if (key == "sched.degree") {
-      s.degree = as_u();
-    } else if (key == "sched.graph_seed") {
-      s.graph_seed = as_u();
-    } else if (key == "sched.kernel") {
-      s.kernel = static_cast<WeightKernel>(as_u());
-    } else if (key == "sched.kernel_power") {
-      s.kernel_power = as_u();
-    } else if (key == "sched.dense_reference") {
-      s.dense_reference = as_u() != 0;
-    } else if (key == "sched.dynamics") {
-      s.dynamics = static_cast<GraphDynamics>(as_u());
-    } else if (key == "sched.edge_birth") {
-      s.edge_birth = as_d();
-    } else if (key == "sched.edge_death") {
-      s.edge_death = as_d();
-    } else if (key == "sched.rewire_period") {
-      s.rewire_period = as_u();
-    } else if (key == "sched.adversary") {
-      s.adversary = static_cast<AdversaryPolicy>(as_u());
-    } else if (key == "sched.churn_rate") {
-      s.churn_rate = as_d();
-    } else if (key == "sched.churn_faults") {
-      s.churn_faults = as_u();
-    } else if (key == "sched.churn_active") {
-      s.churn_active = as_u();
-    } else if (key == "sched.churn_reset") {
-      s.churn_reset = static_cast<ChurnReset>(as_u());
-    } else if (key == "sched.partition_blocks") {
-      s.partition_blocks = as_u();
-    } else if (key == "sched.partition_split") {
-      s.partition_split = as_u();
-    } else if (key == "sched.partition_heal") {
-      s.partition_heal = as_u();
-    } else if (key == "sched.partition_cycles") {
-      s.partition_cycles = as_u();
+    } else if (key == "sched") {
+      const std::optional<SchedulerSpec> s = parse_scheduler_spec(val);
+      ok = s.has_value();
+      if (ok) spec.scheduler = *s;
     } else {
-      PP_ASSERT_MSG(false, "spec_from_kv: unknown key");
+      ok = false;
     }
+    if (!ok) return std::nullopt;
   }
+  // Keys missing, repeated or out of order: not spec_to_kv's own output.
+  if (spec_to_kv(spec) != kv) return std::nullopt;
   return spec;
 }
 
@@ -242,7 +183,10 @@ ReplayPoint parse_manifest_point(const std::string& line) {
   out.replayable = manifest_field(line, "replayable") == "true";
   PP_ASSERT_MSG(out.replayable,
                 "parse_manifest_point: point recorded as non-replayable");
-  out.spec = spec_from_kv(manifest_field(line, "spec"));
+  const std::optional<TrialSpec> spec =
+      spec_from_kv(manifest_field(line, "spec"));
+  PP_ASSERT_MSG(spec.has_value(), "parse_manifest_point: malformed spec");
+  out.spec = *spec;
   out.master_seed =
       std::strtoull(manifest_field(line, "master_seed").c_str(), nullptr, 10);
   out.trials =
@@ -277,9 +221,6 @@ void ManifestWriter::append_point(const TrialSpec& spec, const TrialSet& set,
                                   u64 n, double param) const {
   if (!enabled()) return;
   const std::string kv = spec_to_kv(spec);
-  const std::string model = spec.engine == EngineKind::kScheduled
-                                ? spec.scheduler.to_string()
-                                : engine_kind_name(spec.engine);
   // Composed in memory, appended with one O_APPEND write: concurrent
   // writers (two benches sharing a sidecar path) interleave whole
   // records, never bytes within one (common/file_io.hpp).
@@ -288,8 +229,9 @@ void ManifestWriter::append_point(const TrialSpec& spec, const TrialSet& set,
     << "\",\"n\":" << n << ",\"param\":" << fmt_double(param)
     << ",\"master_seed\":" << set.master_seed
     << ",\"trials\":" << set.stats.trials << ",\"threads\":" << set.threads
-    << ",\"scheduler\":\"" << json_escape(model) << "\",\"spec\":\""
-    << json_escape(kv) << "\",\"spec_hash\":\"" << spec_hash(spec)
+    << ",\"scheduler\":\"" << json_escape(spec.model_name())
+    << "\",\"spec\":\"" << json_escape(kv) << "\",\"spec_hash\":\""
+    << spec_hash(spec)
     << "\",\"replayable\":" << (spec_is_replayable(spec) ? "true" : "false")
     << ",\"counters\":" << set.counters.to_json() << "}";
   append_line(path_, f.str());

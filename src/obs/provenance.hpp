@@ -7,13 +7,15 @@
 //   point   {"kind":"point","label":...,"n":...,"param":...,
 //            "master_seed":...,"trials":...,"threads":...,
 //            "scheduler":"churn[0.02/uniform-state]",
-//            "spec":"protocol=ag;n=64;engine=2;sched.kind=7;...",
+//            "spec":"protocol=ag;n=64;factory=registry;init=default;
+//                    engine=scheduled;max_interactions=...;label=...;
+//                    sched=churn[0.02/uniform-state];",
 //            "spec_hash":"fnv1a64:...","replayable":true,
 //            "counters":{...}}
 //
 // The "spec" field is the load-bearing one: a canonical key=value
-// serialisation of the full TrialSpec (SchedulerSpec included, doubles
-// at 17 significant digits) that spec_from_kv() parses back into an
+// serialisation of the full TrialSpec, the scheduler as its display name
+// (whose doubles print exactly), that spec_from_kv() parses back into an
 // equivalent spec.  Because the runner derives every trial's RNG stream
 // from (master_seed, label, trial) alone, re-running the parsed spec
 // with the recorded master seed reproduces each TrialRecord bit for bit
@@ -32,6 +34,7 @@
 // BENCH records, manifests and bench/history.jsonl.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -54,13 +57,15 @@ BuildInfo build_info();
 /// rng/seed_sequence.hpp for the seeded variant).
 u64 fnv1a64(std::string_view s);
 
-/// Canonical key=value;... serialisation of `spec` — every TrialSpec and
-/// SchedulerSpec field, enums as integers, doubles round-trip exact.
+/// Canonical key=value;... serialisation of `spec`: the TrialSpec
+/// fields, the engine by engine_kind_name, and the scheduler as one
+/// `sched=<SchedulerSpec::to_string()>` field, its only written form.
 std::string spec_to_kv(const TrialSpec& spec);
 
-/// Parses spec_to_kv() output back into a TrialSpec (asserts on unknown
-/// keys or a non-replayable spec).
-TrialSpec spec_from_kv(const std::string& kv);
+/// Parses spec_to_kv() output back into a TrialSpec; nullopt for anything
+/// spec_to_kv() would not write, or would write for a non-replayable
+/// factory or init.  Never asserts.
+std::optional<TrialSpec> spec_from_kv(std::string_view kv);
 
 /// True when spec_to_kv() captures everything needed to re-run `spec`:
 /// a registry-named protocol (or none needed) and a default or

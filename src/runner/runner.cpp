@@ -25,6 +25,11 @@ const char* engine_kind_name(EngineKind k) {
   return "?";
 }
 
+std::string TrialSpec::model_name() const {
+  if (engine == EngineKind::kScheduled) return scheduler.to_string();
+  return engine_kind_name(engine);
+}
+
 ProtocolFactory TrialSpec::resolve_factory() const {
   if (factory) return factory;
   PP_ASSERT_MSG(!protocol.empty() && n > 0,

@@ -74,6 +74,10 @@ struct TrialSpec {
 
   /// The factory to actually use (explicit one, else registry lookup).
   ProtocolFactory resolve_factory() const;
+
+  /// The interaction model as sinks and manifests record it: the
+  /// scheduler's display name under kScheduled, else the engine's name.
+  std::string model_name() const;
 };
 
 /// The per-trial outcome, reduced to what analysis and sinks consume.

@@ -31,14 +31,6 @@ std::string spec_name(const TrialSpec& spec) {
   return spec.protocol.empty() ? std::string("custom") : spec.protocol;
 }
 
-// The engine column must keep records self-describing: a bare "scheduled"
-// would make every scheduler variant serialize identically, so emit the
-// concrete interaction model instead (e.g. "graph-restricted[cycle]").
-std::string engine_detail(const TrialSpec& spec) {
-  if (spec.engine == EngineKind::kScheduled) return spec.scheduler.to_string();
-  return engine_kind_name(spec.engine);
-}
-
 }  // namespace
 
 std::string json_escape(std::string_view s) {
@@ -104,7 +96,7 @@ void CsvSink::write_trials(const TrialSpec& spec, const TrialSet& set) {
   set_mode(Mode::kTrials);
   const std::string prefix = spec.label + "," + spec_name(spec) + "," +
                              std::to_string(spec.n) + "," +
-                             engine_detail(spec) + ",";
+                             spec.model_name() + ",";
   for (const TrialRecord& r : set.records) {
     *out_ << prefix << r.trial << "," << r.seed << ","
           << fmt(r.parallel_time) << "," << r.interactions << ","
@@ -120,7 +112,7 @@ void CsvSink::write_aggregate(const TrialSpec& spec, const TrialSet& set) {
   set_mode(Mode::kAggregates);
   const AggregateStats& a = set.stats;
   *out_ << spec.label << "," << spec_name(spec) << "," << spec.n << ","
-        << engine_detail(spec) << "," << a.trials << ","
+        << spec.model_name() << "," << a.trials << ","
         << set.threads << "," << a.timeouts << "," << a.invalid << ","
         << a.fault_events << "," << fmt(a.parallel_time.mean()) << ","
         << fmt(a.parallel_time.stddev()) << "," << fmt(a.parallel_time.min())
@@ -145,7 +137,7 @@ void JsonlSink::write_trials(const TrialSpec& spec, const TrialSet& set) {
       "{\"kind\":\"trial\",\"label\":\"" + json_escape(spec.label) +
       "\",\"protocol\":\"" + json_escape(spec_name(spec)) +
       "\",\"n\":" + std::to_string(spec.n) + ",\"engine\":\"" +
-      engine_detail(spec) + "\"";
+      spec.model_name() + "\"";
   for (const TrialRecord& r : set.records) {
     *out_ << prefix << ",\"trial\":" << r.trial << ",\"seed\":" << r.seed
           << ",\"parallel_time\":" << fmt(r.parallel_time)
@@ -165,7 +157,7 @@ void JsonlSink::write_aggregate(const TrialSpec& spec, const TrialSet& set) {
   *out_ << "{\"kind\":\"aggregate\",\"label\":\"" << json_escape(spec.label)
         << "\",\"protocol\":\"" << json_escape(spec_name(spec))
         << "\",\"n\":" << spec.n << ",\"engine\":\""
-        << engine_detail(spec) << "\",\"trials\":" << a.trials
+        << spec.model_name() << "\",\"trials\":" << a.trials
         << ",\"threads\":" << set.threads << ",\"timeouts\":" << a.timeouts
         << ",\"invalid\":" << a.invalid
         << ",\"fault_events\":" << a.fault_events

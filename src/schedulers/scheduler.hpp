@@ -95,6 +95,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -252,9 +253,20 @@ struct SchedulerSpec {
 
   /// Display name, e.g. "graph-restricted[random-3-regular]",
   /// "weighted[ring-decay]", "dynamic[cycle/markov]",
-  /// "adversarial[max-load]", "churn[0.02/uniform-state]".
+  /// "adversarial[max-load]", "churn[0.02/uniform-state]".  The spec's
+  /// only written form (labels, CSV cells, manifests, chunk keys): every
+  /// knob the kind reads that is off its default is in it, and
+  /// parse_scheduler_spec() reads it back.
   std::string to_string() const;
+
+  bool operator==(const SchedulerSpec&) const = default;
 };
+
+/// The inverse of SchedulerSpec::to_string(): the spec named exactly
+/// `text`, else nullopt (unknown names, malformed numbers, non-canonical
+/// spellings such as a default written out).  Never asserts; whether the
+/// spec suits a population is make_scheduler's question.
+std::optional<SchedulerSpec> parse_scheduler_spec(std::string_view text);
 
 /// Builds the scheduler described by `spec` for populations of size n.
 SchedulerPtr make_scheduler(const SchedulerSpec& spec, u64 n);

@@ -13,12 +13,13 @@
 //
 //  * Chunks are the unit of caching: a computed chunk is persisted as
 //    `chunk-<fnv1a64-key>.result` in the cache directory, keyed by the
-//    canonical spec serialisation (obs/provenance.hpp spec_to_kv) plus
-//    master seed and trial range.  Any spec change — protocol, n,
-//    budget, scheduler knob — changes the key, so a stale entry can
-//    never be *returned*; a file whose embedded key material disagrees
-//    with its name's (corruption, a hash collision, a format bump) is
-//    detected on load and reported kStale, then recomputed.
+//    canonical spec serialisation (obs/provenance.hpp spec_to_kv, the
+//    scheduler by its display name) plus master seed and trial range.
+//    Any spec change — protocol, n, budget, scheduler knob — changes the
+//    key, so a stale entry can never be *returned*; a file whose embedded
+//    key material disagrees with its name's (corruption, a hash
+//    collision, a format bump) is detected on load and reported kStale,
+//    then recomputed.
 //
 //  * Chunks are idempotent: two runs computing the same chunk write
 //    byte-identical files via atomic rename, so two invocations sharing
@@ -54,9 +55,9 @@ std::vector<ChunkSpec> chunk_ranges(u64 trials, u64 chunk_trials);
 /// runs with different --threads values share cache entries.
 u64 default_chunk_trials(u64 trials);
 
-/// The canonical key material of one chunk: spec_to_kv(spec) plus master
-/// seed, trial range and a format version.  Two chunks agree on this
-/// string iff their records must be bit-identical.
+/// The canonical key material of one chunk: spec_to_kv(spec) (scheduler
+/// by display name) plus master seed, trial range and a format version.
+/// Two chunks agree on this string iff their records must be bit-identical.
 std::string chunk_key_material(const TrialSpec& spec, u64 master_seed,
                                const ChunkSpec& chunk);
 

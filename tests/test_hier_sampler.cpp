@@ -906,12 +906,10 @@ TEST(HierarchicalPins, CycleRewireTrajectory) {
 
 TEST(HierarchicalPins, RandomRegularRewireTrajectory) {
   // Every epoch boundary resamples the random-regular graph from rng.bits().
-  const std::vector<SchedulerSpec> specs = all_scheduler_specs();
-  const auto it = std::find_if(specs.begin(), specs.end(), [](const auto& s) {
-    return s.to_string() == "dynamic[random-4-regular/rewire]";
-  });
-  ASSERT_NE(it, specs.end());
-  const RunResult r = run_dynamic_pin(*it);
+  const std::optional<SchedulerSpec> spec =
+      parse_scheduler_spec("dynamic[random-4-regular/rewire]");
+  ASSERT_TRUE(spec.has_value());
+  const RunResult r = run_dynamic_pin(*spec);
   EXPECT_TRUE(r.silent);
   EXPECT_EQ(r.interactions, 9327u);
   EXPECT_EQ(r.productive_steps, 68u);

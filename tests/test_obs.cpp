@@ -15,6 +15,7 @@
 #include <chrono>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -545,20 +546,177 @@ TEST(ObsTrace, SessionCapDropsInsteadOfGrowing) {
 
 // ---- provenance ----------------------------------------------------------
 
-TEST(ObsProvenance, SpecKvRoundTripsForEveryRegisteredScheduler) {
-  for (const SchedulerSpec& sched : all_scheduler_specs()) {
-    TrialSpec spec;
-    spec.protocol = "ag";
-    spec.n = 48;
-    spec.label = "test-obs-roundtrip";
-    spec.engine = EngineKind::kScheduled;
-    spec.scheduler = sched;
-    const std::string kv = obs::spec_to_kv(spec);
-    EXPECT_TRUE(obs::spec_is_replayable(spec)) << kv;
-    const TrialSpec back = obs::spec_from_kv(kv);
-    EXPECT_EQ(obs::spec_to_kv(back), kv) << sched.to_string();
-    EXPECT_EQ(obs::spec_hash(back), obs::spec_hash(spec));
+// The specs the benches build beyond the roster: edge-Markovian cycles
+// with edge_death = 2/n at every size the scale sections reach (%g gave
+// the two line-of-traps sizes rounded names), and the s2 churn grid.
+std::vector<SchedulerSpec> bench_built_specs() {
+  std::vector<SchedulerSpec> out;
+  for (const u64 n : {10000, 100000, 13824, 123480}) {
+    SchedulerSpec s;
+    s.kind = SchedulerKind::kDynamicGraph;
+    s.graph = GraphKind::kCycle;
+    s.edge_death = 2.0 / static_cast<double>(n);
+    out.push_back(s);
   }
+  for (const double rate : {0.005, 0.02, 0.08}) {
+    for (const u64 burst : {1, 4, 16}) {
+      SchedulerSpec s;
+      s.kind = SchedulerKind::kChurn;
+      s.churn_rate = rate;
+      s.churn_faults = burst;
+      out.push_back(s);
+    }
+  }
+  return out;
+}
+
+std::vector<SchedulerSpec> roster_and_bench_specs() {
+  std::vector<SchedulerSpec> specs = all_scheduler_specs();
+  for (const SchedulerSpec& s : bench_built_specs()) specs.push_back(s);
+  return specs;
+}
+
+TrialSpec kv_spec(const SchedulerSpec& sched, EngineKind engine) {
+  TrialSpec spec;
+  spec.protocol = "ag";
+  spec.n = 48;
+  spec.label = "test-obs-roundtrip";
+  spec.engine = engine;
+  spec.scheduler = sched;
+  return spec;
+}
+
+TEST(ObsProvenance, SpecKvRoundTripsForEveryRegisteredScheduler) {
+  for (const EngineKind engine : {EngineKind::kAccelerated,
+                                  EngineKind::kUniform,
+                                  EngineKind::kScheduled}) {
+    for (const SchedulerSpec& sched : roster_and_bench_specs()) {
+      const TrialSpec spec = kv_spec(sched, engine);
+      const std::string kv = obs::spec_to_kv(spec);
+      EXPECT_TRUE(obs::spec_is_replayable(spec)) << kv;
+      const std::optional<TrialSpec> back = obs::spec_from_kv(kv);
+      ASSERT_TRUE(back.has_value()) << kv;
+      EXPECT_EQ(back->engine, engine) << kv;
+      EXPECT_EQ(back->scheduler, sched) << kv;
+      EXPECT_EQ(obs::spec_to_kv(*back), kv);
+      EXPECT_EQ(obs::spec_hash(*back), obs::spec_hash(spec));
+    }
+  }
+}
+
+TEST(SchedulerNames, ParseInvertsToString) {
+  for (const SchedulerSpec& s : roster_and_bench_specs()) {
+    const std::optional<SchedulerSpec> back =
+        parse_scheduler_spec(s.to_string());
+    ASSERT_TRUE(back.has_value()) << s.to_string();
+    EXPECT_EQ(*back, s) << s.to_string();
+  }
+  // Every knob's spelling, one name each.
+  for (const char* name :
+       {"dynamic[random-4-regular/g7/markov/b0.5/d0.25/dense-ref]",
+        "dynamic[path/rewire/T64]", "graph-restricted[routing]",
+        "graph-restricted[random-3-regular/g2]",
+        "churn[0.05x4/state-zero/a320/dense-ref]",
+        "partition[4-blocks/s10/h20/c5]", "weighted[trap-decay^3/dense-ref]"}) {
+    const std::optional<SchedulerSpec> s = parse_scheduler_spec(name);
+    ASSERT_TRUE(s.has_value()) << name;
+    EXPECT_EQ(s->to_string(), name);
+  }
+}
+
+TEST(SchedulerNames, DoublesPrintExactlyAndKeepShortNames) {
+  const std::vector<SchedulerSpec> bench = bench_built_specs();
+  EXPECT_EQ(bench[0].to_string(), "dynamic[cycle/markov/d0.0002]");
+  EXPECT_EQ(bench[1].to_string(), "dynamic[cycle/markov/d2e-05]");
+  EXPECT_EQ(bench[2].to_string(),
+            "dynamic[cycle/markov/d0.00014467592592592592]");
+  EXPECT_EQ(bench[3].to_string(),
+            "dynamic[cycle/markov/d1.6196954972465176e-05]");
+  EXPECT_EQ(bench[4].to_string(), "churn[0.005/uniform-state]");
+  // Six significant digits used to give these two one name.
+  SchedulerSpec a = bench[0];
+  a.edge_death = 1e-4;
+  SchedulerSpec b = a;
+  b.edge_death = 1.000001e-4;
+  EXPECT_EQ(a.to_string(), "dynamic[cycle/markov/d0.0001]");
+  EXPECT_NE(a.to_string(), b.to_string());
+  EXPECT_EQ(parse_scheduler_spec(b.to_string()), b);
+}
+
+TEST(SchedulerNames, NonCanonicalSpellingsAreRejected) {
+  for (const char* name :
+       {"", "Uniform", " uniform", "uniform ", "uniform[]", "weighted",
+        "weighted[]", "weighted[ring-decay", "weighted[ring-decay^1]",
+        "weighted[ring-decay^02]", "weighted[ring-decay^]",
+        "dynamic[cycle/markov/d0.01]", "dynamic[cycle/markov/d1e-4]",
+        "dynamic[cycle/markov/d+0.5]", "dynamic[cycle/markov/dnan]",
+        "dynamic[cycle/markov/dinf]", "dynamic[cycle/markov/d1e999]",
+        "dynamic[cycle/rewire/dense-ref]", "dynamic[cycle]",
+        "dynamic[random-regular/markov]", "dynamic[cycle/g2/markov]",
+        "graph-restricted[random-04-regular]",
+        "graph-restricted[cycle/dense-ref]", "churn[0.020/uniform-state]",
+        "churn[0.02x1/uniform-state]", "churn[0.02]",
+        "churn[0.02/uniform-state/dense-ref/a5]",
+        "churn[0.02/uniform-state/a]", "partition[2-blocks/c3]",
+        "partition[-2-blocks]", "partition[2-blocks/s18446744073709551616]",
+        "adversarial[max-load/dense-ref]"}) {
+    EXPECT_FALSE(parse_scheduler_spec(name).has_value()) << name;
+  }
+}
+
+// Byte flips, truncations and splices of roster names and kv strings:
+// each parser rejects the input or reads back exactly what it was given,
+// and neither aborts (the ASan+UBSan leg runs this too).
+TEST(SchedulerNames, MutatedNamesAndKvStringsAreRejectedOrRoundTrip) {
+  std::vector<std::string> names, kvs;
+  for (const SchedulerSpec& s : roster_and_bench_specs()) {
+    names.push_back(s.to_string());
+    kvs.push_back(obs::spec_to_kv(kv_spec(s, EngineKind::kScheduled)));
+  }
+  const std::string alphabet = "[]/^x=;-.+0123456789abcdeghinsT \x01\xff";
+  Rng rng(2025);
+  const auto mutate = [&](const std::vector<std::string>& pool) {
+    std::string m = pool[rng.below(pool.size())];
+    for (u64 edits = 1 + rng.below(3); edits > 0; --edits) {
+      const u64 at = m.empty() ? 0 : rng.below(m.size() + 1);
+      switch (rng.below(4)) {
+        case 0:  // flip one byte to a grammar character
+          if (at < m.size()) m[at] = alphabet[rng.below(alphabet.size())];
+          break;
+        case 1:  // truncate
+          m.resize(at);
+          break;
+        case 2: {  // splice in the tail of another entry
+          const std::string& o = pool[rng.below(pool.size())];
+          m = m.substr(0, at) + o.substr(rng.below(o.size() + 1));
+          break;
+        }
+        default:  // delete one byte
+          if (at < m.size()) m.erase(at, 1);
+      }
+    }
+    return m;
+  };
+  u64 accepted = 0, rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string name = mutate(names);
+    if (const auto s = parse_scheduler_spec(name)) {
+      ++accepted;
+      EXPECT_EQ(s->to_string(), name);
+      EXPECT_EQ(parse_scheduler_spec(name), s);
+    } else {
+      ++rejected;
+    }
+    const std::string kv = mutate(kvs);
+    if (const auto spec = obs::spec_from_kv(kv)) {
+      ++accepted;
+      EXPECT_EQ(obs::spec_to_kv(*spec), kv);
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, accepted);
 }
 
 TEST(ObsProvenance, CustomFactoriesAndInitsAreHonestlyNonReplayable) {

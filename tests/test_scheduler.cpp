@@ -492,9 +492,9 @@ TEST(SchedulerRunner, MatchingAndGraphRunThroughTheRunner) {
 
 // ---- pinned tick-phase and round trajectories -----------------------------
 
-// One run through a roster scheduler with an observer that counts its calls
-// and sums the interaction counts it is handed; `stop_at` (0 = never) makes
-// it abort on the change that lands on that interaction.
+// One run through the scheduler named `spec_name` with an observer that
+// counts its calls and sums the interaction counts it is handed; `stop_at`
+// (0 = never) makes it abort on the change that lands on that interaction.
 struct PinRun {
   RunResult r;
   u64 calls = 0;
@@ -504,12 +504,9 @@ struct PinRun {
 
 PinRun run_pinned(std::string_view spec_name, std::string_view proto, u64 n,
                   u64 seed, u64 budget, u64 stop_at = 0) {
-  const std::vector<SchedulerSpec> specs = all_scheduler_specs();
-  const auto it = std::find_if(specs.begin(), specs.end(), [&](const auto& s) {
-    return s.to_string() == spec_name;
-  });
-  PP_ASSERT_MSG(it != specs.end(), "pinned spec is not in the roster");
-  const SchedulerPtr sched = make_scheduler(*it, n);
+  const std::optional<SchedulerSpec> spec = parse_scheduler_spec(spec_name);
+  PP_ASSERT_MSG(spec.has_value(), "pinned spec name does not parse");
+  const SchedulerPtr sched = make_scheduler(*spec, n);
   ProtocolPtr p = make_protocol(proto, n);
   Rng rng(seed);
   p->reset(initial::uniform_random(*p, rng));
