@@ -28,10 +28,16 @@ and gives each (workload, metric) a verdict by the pair rule:
 "faster" and "slower" mean better and worse in the metric's direction
 (lower cpu_s_per_trial, peak_rss_mb and setup_s are "faster").
 
+Next to each verdict it prints the base's drift: the least-squares slope
+of the base values over the pair index, times (pairs - 1), over the base
+median, i.e. how far the host moved the base from the first pair to the
+last.  A drift near the base's relative IQR says a "noise" verdict may be
+the host's, not the change's; the verdict rule does not read it.
+
 It writes BENCH_ab.json in the working directory (JSON lines: one "run"
 header, then one "ab" row per workload and metric with every pair's
 values, both sides' median and quartiles, the median ratio head/base, the
-win count and the verdict) and appends one "perf" row with the host's
+win count, the base drift and the verdict) and appends one "perf" row with the host's
 nproc and CPU model to bench/perf_history.jsonl.
 
 Stdlib-only, like the other bench scripts.
@@ -85,6 +91,21 @@ def verdict(base, head, better):
     return "noise", wins, losses
 
 
+def drift(values):
+    """Least-squares slope of `values` over their index, times
+    (len - 1), over their median: the relative change the trend predicts
+    from the first value to the last (0 for fewer than two values)."""
+    n = len(values)
+    med = percentile(values, 0.5)
+    if n < 2 or not med:
+        return 0.0
+    mean_i = (n - 1) / 2
+    mean_v = sum(values) / n
+    sxx = sum((i - mean_i) ** 2 for i in range(n))
+    sxy = sum((i - mean_i) * (v - mean_v) for i, v in enumerate(values))
+    return sxy / sxx * (n - 1) / med
+
+
 def summarise(workload, metric, better, base, head):
     """One "ab" row of BENCH_ab.json."""
     v, wins, losses = verdict(base, head, better)
@@ -96,7 +117,8 @@ def summarise(workload, metric, better, base, head):
         "base_q1": bq[0], "base_median": bq[1], "base_q3": bq[2],
         "head_q1": hq[0], "head_median": hq[1], "head_q3": hq[2],
         "median_ratio": hq[1] / bq[1] if bq[1] else None,
-        "wins": wins, "losses": losses, "verdict": v,
+        "wins": wins, "losses": losses, "base_drift": drift(base),
+        "verdict": v,
     }
 
 
@@ -201,7 +223,8 @@ def main():
                    .isoformat(timespec="seconds"),
                    rows=[{k: r[k] for k in ("workload", "metric",
                                             "base_median", "head_median",
-                                            "wins", "losses", "verdict")}
+                                            "wins", "losses", "base_drift",
+                                            "verdict")}
                          for r in rows])
     with open(args.history, "a", encoding="utf-8") as f:
         f.write(json.dumps(history, sort_keys=True) + "\n")
@@ -209,7 +232,8 @@ def main():
         print(f"{r['workload']:16} {r['metric']:16} "
               f"base {r['base_median']:.6g} [{r['base_q1']:.6g}, "
               f"{r['base_q3']:.6g}]  head {r['head_median']:.6g}  "
-              f"wins {r['wins']}/{r['pairs']}  {r['verdict']}")
+              f"wins {r['wins']}/{r['pairs']}  {r['verdict']}  "
+              f"base drift {r['base_drift']:+.1%}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@
 A verdict other than noise needs both halves of the rule: the head wins
 at least nine tenths of the pairs (ties count for neither side), and its
 median is better than the base's by more than the base's interquartile
-range.  The direction comes from the metric ("higher" or "lower").
+range.  The direction comes from the metric ("higher" or "lower").  The
+base drift, the trend of the base values over the pairs, is reported
+beside the verdict and never changes it.
 
 Stdlib-only; registered in ctest next to bench_gate_selftest.
 """
@@ -52,6 +54,24 @@ class Verdict(unittest.TestCase):
     def test_identical_sides_are_noise(self):
         self.assertEqual(ab.verdict(BASE, list(BASE), "higher"),
                          ("noise", 0, 0))
+
+
+class Drift(unittest.TestCase):
+    def test_a_steady_base_has_no_drift(self):
+        self.assertEqual(ab.drift([10.0] * 10), 0.0)
+        self.assertEqual(ab.drift([10.0]), 0.0)
+
+    def test_a_drifting_base_reads_noise_and_shows_its_drift(self):
+        # The base falls from 30 to 20 over ten pairs; the head beats it
+        # by 12.9% in every pair, but the drift widens the base's IQR
+        # (5) past the median gap (3.2), so the verdict stays noise and
+        # the row says why: the trend moved the base by -10/25.
+        base = [30 - 10 * i / 9 for i in range(10)]
+        head = [b * 1.129 for b in base]
+        row = ab.summarise("w", "trials_per_s", "higher", base, head)
+        self.assertEqual((row["wins"], row["verdict"]), (10, "noise"))
+        self.assertAlmostEqual(row["base_drift"], -0.4)
+        self.assertAlmostEqual(ab.drift(list(reversed(base))), 0.4)
 
 
 class Row(unittest.TestCase):
