@@ -37,8 +37,8 @@ the host's, not the change's; the verdict rule does not read it.
 It writes BENCH_ab.json in the working directory (JSON lines: one "run"
 header, then one "ab" row per workload and metric with every pair's
 values, both sides' median and quartiles, the median ratio head/base, the
-win count, the base drift and the verdict) and appends one "perf" row with the host's
-nproc and CPU model to bench/perf_history.jsonl.
+win count, the base drift and the verdict) and appends one "perf" row
+with the host's nproc and CPU model to bench/perf_history.jsonl.
 
 Stdlib-only, like the other bench scripts.
 """

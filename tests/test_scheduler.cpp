@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/assert.hpp"
