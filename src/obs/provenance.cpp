@@ -46,16 +46,40 @@ std::string fmt_double(double v) {
   return buf;
 }
 
+// Values percent-escape the grammar's two separators and the escape byte
+// itself, so any label or protocol name round-trips; a value without them
+// is written as is.
 void put(std::string& out, std::string_view key, std::string_view value) {
-  // The kv grammar has no escaping; refuse values that would corrupt it
-  // (labels and protocol names in this repo are /-and-dash identifiers).
-  PP_ASSERT_MSG(value.find(';') == std::string_view::npos &&
-                    value.find('=') == std::string_view::npos,
-                "spec kv value must not contain ';' or '='");
   out.append(key);
   out.push_back('=');
-  out.append(value);
+  for (const char c : value) {
+    if (c == '%' || c == ';' || c == '=') {
+      out.append(c == '%' ? "%25" : c == ';' ? "%3B" : "%3D");
+    } else {
+      out.push_back(c);
+    }
+  }
   out.push_back(';');
+}
+
+// put()'s escape undone; nullopt on a '%' that starts none of its codes.
+std::optional<std::string> unescape(std::string_view v) {
+  std::string out;
+  for (u64 i = 0; i < v.size(); ++i) {
+    if (v[i] != '%') {
+      out.push_back(v[i]);
+      continue;
+    }
+    const std::string_view code = v.substr(i + 1, 2);
+    const char c = code == "25"   ? '%'
+                   : code == "3B" ? ';'
+                   : code == "3D" ? '='
+                                  : '\0';
+    if (c == '\0') return std::nullopt;
+    out.push_back(c);
+    i += 2;
+  }
+  return out;
 }
 
 // A u64 over the whole token: no sign, space or trailing byte.
@@ -114,7 +138,10 @@ std::optional<TrialSpec> spec_from_kv(std::string_view kv) {
       return std::nullopt;
     }
     const std::string_view key = kv.substr(pos, eq - pos);
-    const std::string_view val = kv.substr(eq + 1, semi - eq - 1);
+    const std::optional<std::string> unescaped =
+        unescape(kv.substr(eq + 1, semi - eq - 1));
+    if (!unescaped) return std::nullopt;
+    const std::string_view val = *unescaped;
     pos = semi + 1;
 
     bool ok = true;

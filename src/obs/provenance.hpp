@@ -60,6 +60,8 @@ u64 fnv1a64(std::string_view s);
 /// Canonical key=value;... serialisation of `spec`: the TrialSpec
 /// fields, the engine by engine_kind_name, and the scheduler as one
 /// `sched=<SchedulerSpec::to_string()>` field, its only written form.
+/// Values write `%`, `;` and `=` as `%25`, `%3B` and `%3D`, so every label
+/// can be recorded.
 std::string spec_to_kv(const TrialSpec& spec);
 
 /// Parses spec_to_kv() output back into a TrialSpec; nullopt for anything

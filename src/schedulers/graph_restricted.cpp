@@ -32,11 +32,11 @@ RunResult GraphRestrictedScheduler::run(Protocol& p, Rng& rng,
   // The naive loop draws every directed edge, nulls included: the test
   // oracle the accelerated path is checked against.
   RunResult r;
-  while (es.pairs().productive_total() != 0) {
+  while (es.productive_total() != 0) {
     if (r.interactions >= opt.max_interactions) break;
     ++r.interactions;
-    const u64 drawn = es.pairs().sample(rng);
-    if (!es.pairs().productive(drawn)) continue;  // null step
+    const u64 drawn = rng.below(es.weight_total());
+    if (!es.productive(drawn)) continue;  // null step
     es.fire(p, drawn);
     ++r.productive_steps;
     PP_OBS_INC(kProductiveSteps);

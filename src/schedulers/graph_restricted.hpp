@@ -15,15 +15,17 @@
 // so the naive loop wastes Θ(2|E| / W_G) draws per productive step, where
 // W_G is the number of *productive directed edges* — the protocol's
 // productive weight intersected with the edge set.  Pair selection runs on
-// the Fenwick-backed sampler layer (schedulers/pair_sampler.hpp): a
-// DirectedEdgeSampler keeps the productive-edge weight fresh incrementally
-// (a productive application at edge (u, v) only changes the states of u
-// and v, so only edges incident to u or v are re-tested against δ — O(deg
-// log |E|) per productive step on bounded-degree topologies).  With W_G
-// known exactly, the gap to the next productive step is
-// Geometric(W_G / 2|E|) and the firing edge is uniform among the W_G
-// productive ones: the same exact null-skipping construction as the
-// accelerated uniform engine, applied edge-wise.
+// a DirectedEdgeSampler (schedulers/pair_sampler.hpp): one Fenwick tree
+// over the directed edges' productive flags, whose total is W_G, while the
+// scheduling total 2|E| is plain arithmetic.  The flags are kept fresh
+// incrementally (a productive application at edge (u, v) only changes the
+// states of u and v, so only edges incident to u or v are re-tested
+// against δ — O(deg log |E|) per productive step on bounded-degree
+// topologies).  With W_G known exactly, the gap to the next productive
+// step is Geometric(W_G / 2|E|) and the firing edge is uniform among the
+// W_G productive ones: the same exact null-skipping construction as the
+// accelerated uniform engine, applied edge-wise.  The naive loop draws
+// below(2|E|) directly: the directed edge id itself.
 //
 // A configuration with W_G = 0 but productive_weight() > 0 is *locally
 // stuck*: distant agents could still interact, adjacent ones cannot.  Both

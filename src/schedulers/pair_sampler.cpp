@@ -8,12 +8,6 @@
 
 namespace pp {
 
-void PairSampler::reset(u64 universe) {
-  weight_.reset(universe);
-  productive_.reset(universe);
-  flag_.assign(universe, 0);
-}
-
 void PairSampler::reset(std::vector<u64> weights, std::vector<u8> flags) {
   PP_ASSERT_MSG(weights.size() == flags.size(),
                 "pair sampler needs one productivity flag per weight");
@@ -41,15 +35,12 @@ void PairSampler::set_productive(u64 id, bool productive) {
 DirectedEdgeSampler::DirectedEdgeSampler(const InteractionGraph& g,
                                          const Protocol& p,
                                          std::vector<StateId> states)
-    : g_(&g), p_(&p), state_(std::move(states)) {
+    : g_(&g), p_(&p), state_(std::move(states)), edges_(g.num_edges()) {
   PP_ASSERT_MSG(state_.size() == g.num_vertices(),
                 "interaction graph size != population size");
-  const u64 universe = 2 * g.num_edges();
-  std::vector<u8> flags(universe);
-  for (u64 d = 0; d < universe; ++d) {
-    flags[d] = is_productive(d) ? 1 : 0;
+  for (u64 e = 0; e < g.num_edges(); ++e) {
+    edges_.add(is_productive(2 * e), is_productive(2 * e + 1));
   }
-  pairs_.reset(std::vector<u64>(universe, 1), std::move(flags));
 }
 
 void DirectedEdgeSampler::fire(Protocol& p, u64 directed) {

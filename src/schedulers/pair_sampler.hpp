@@ -1,40 +1,36 @@
-// The Fenwick-backed pair-sampler layer: "sample a pair proportionally to
-// weight, keep the weights fresh as agents change state".
+// The pair-sampler layer: "sample a productive pair proportionally to its
+// scheduling weight, keep the weights fresh as agents change state".
 //
 // Every scheduler in this library is secretly sampling from a weight
 // function over ordered pairs: the uniform scheduler weights all n(n-1)
 // ordered pairs equally, the graph-restricted scheduler weights directed
 // edges of a topology 1 and everything else 0, a spatial model weights
 // pairs by distance decay, and a dynamic graph moves weight around as
-// edges are born and die.  This module extracts the machinery those models
-// share — the same construction the protocols' own productive-weight
-// Fenwick uses, lifted from states to pairs:
+// edges are born and die.  Each sampler below keeps the same construction
+// the protocols' own productive-weight Fenwick uses, lifted from states to
+// pairs: the exact total scheduling weight, plus a Fenwick of *productive
+// weights* (w(e) for exactly those pairs whose interaction would change a
+// state, 0 elsewhere) kept in sync through point updates.  With both totals
+// known exactly, the gap to the next productive step is
+// Geometric(productive_total / weight_total) and the firing pair is drawn
+// from the productive tree: the uniform engine's exact null-skipping
+// construction, generalised to arbitrary weights.  The samplers are
+// protocol-agnostic where they can be: callers decide what a pair id means,
+// test productivity against δ themselves, and tell the sampler.
 //
-//   * a Fenwick tree of per-pair *scheduling weights* w(e) (how likely the
-//     scheduler is to propose pair e next), plus
-//   * a parallel Fenwick of *productive weights* — w(e) for exactly those
-//     pairs whose interaction would change a state, 0 elsewhere — kept in
-//     sync through point updates.
-//
-// With both totals known exactly, the accelerated path of any scheduler
-// built on this layer falls out for free: the gap to the next productive
-// step is Geometric(productive_total / weight_total) and the firing pair
-// is sampled from the productive tree — the uniform engine's exact
-// null-skipping construction, generalised to arbitrary weights.
-//
-// PairSampler is deliberately protocol-agnostic: callers decide what a
-// pair id means (directed edge of a graph, dense (i, j) index, ...), test
-// productivity against δ themselves, and tell the sampler.
-// DirectedEdgeSampler below is the graph-shaped glue used by the
-// graph-restricted and dynamic-graph schedulers.
-//
-// Scaling past the dense universe.  A flat PairSampler over all n(n-1)
-// ordered pairs is the *reference* construction: transparent, exactly
-// incremental, and Θ(n²) in memory — which caps it near n = 4096.  The
-// second half of this header is the sparse/hierarchical replacement that
-// lifts the weighted and dynamic models to the n ~ 10^5 the uniform
-// engines handle:
-//
+//   * PairSampler — the dense-reference store: arbitrary per-pair weights
+//     in a second Fenwick beside the productive one, over a flat universe
+//     of pair ids.  Only the dense reference paths use it
+//     (weighted[…/dense-ref] over all n(n-1) ordered pairs,
+//     dynamic[…/markov/dense-ref] with 0/1 edge weights): transparent,
+//     exactly incremental, and Θ(n²) in memory, which caps them near
+//     n = 4096.  The rest of this header is what lifts the models past it.
+//   * DirectedPairRoster — unit-weight directed slots (2e + orientation per
+//     entry) kept as one productive-flag tree; the scheduling total is
+//     2 size() by arithmetic.  It grows and shrinks as the sparse
+//     edge-Markovian present set, and holds a fixed edge set under
+//     DirectedEdgeSampler, the graph-shaped glue used by the
+//     graph-restricted scheduler and every rewire epoch.
 //   * DistanceKernel — a translation-invariant kernel w(i, j) = K(d(i, j))
 //     held in closed form: O(n) prefix tables, O(log n) weighted pair
 //     sampling, u64-overflow-checked totals.  The weight function is
@@ -52,10 +48,6 @@
 //     ring_layout trap distance, run entirely on per-trap count
 //     aggregates (O(states) memory; O(log states) per same-trap move,
 //     O(√states) per move across traps).
-//   * DirectedPairRoster — a compacting roster of unit-weight directed
-//     pairs that grows and shrinks (the edge-Markovian present set), kept
-//     as one productive-flag tree: memory tracks the *live* edge count,
-//     not the pair universe.
 #pragma once
 
 #include <algorithm>
@@ -87,22 +79,15 @@ inline bool pair_is_productive(const Protocol& p, StateId initiator,
          std::make_pair(initiator, responder);
 }
 
+/// The dense-reference store: arbitrary scheduling weights over a flat
+/// universe of pair ids, beside the productive tree.
 class PairSampler {
  public:
-  PairSampler() = default;
-  explicit PairSampler(u64 universe) { reset(universe); }
-
-  /// Re-initialises to `universe` pair slots, all with weight 0 and marked
-  /// unproductive.
-  void reset(u64 universe);
-
-  /// Bulk re-initialisation: scheduling weights plus productivity flags
+  /// Bulk (re-)initialisation: scheduling weights plus productivity flags
   /// (the productive tree becomes `weights` masked to `flags`).  O(n) via
   /// Fenwick::assign — the dense pair universes are rebuilt per run, so
   /// construction cost matters.
   void reset(std::vector<u64> weights, std::vector<u8> flags);
-
-  u64 universe() const { return weight_.size(); }
 
   /// Scheduling weight of pair `id` (0 = the scheduler never proposes it).
   u64 weight(u64 id) const { return weight_.get(id); }
@@ -115,10 +100,9 @@ class PairSampler {
   /// (the accelerated path's geometric success probability); 0 when no
   /// weight is assigned at all.
   double productive_probability() const {
-    const u64 total = weight_.total();
-    if (total == 0) return 0.0;
-    return static_cast<double>(productive_.total()) /
-           static_cast<double>(total);
+    if (weight_total() == 0) return 0.0;
+    return static_cast<double>(productive_total()) /
+           static_cast<double>(weight_total());
   }
 
   /// Sets the scheduling weight of `id`, keeping the productive tree in
@@ -131,14 +115,6 @@ class PairSampler {
   /// pairs and 0 otherwise; flags are tracked even for zero-weight pairs,
   /// so a later set_weight restores the right productive mass.
   void set_productive(u64 id, bool productive);
-  bool productive(u64 id) const { return flag_[id] != 0; }
-
-  /// Samples a pair with probability weight(id) / weight_total().
-  /// Precondition: weight_total() > 0.
-  u64 sample(Rng& rng) const {
-    PP_DCHECK(weight_.total() > 0);
-    return weight_.find(rng.below(weight_.total()));
-  }
 
   /// Samples a productive pair with probability proportional to its
   /// weight.  Precondition: productive_total() > 0.
@@ -153,28 +129,105 @@ class PairSampler {
   std::vector<u8> flag_;
 };
 
-/// The graph-shaped glue over PairSampler: binds the 2|E| directed edges
-/// of an InteractionGraph (pair id = 2 * edge + orientation) to a protocol
-/// and a per-vertex state vector, with unit scheduling weight per directed
-/// edge.  A productive application at (u, v) only changes the states of u
-/// and v, so fire() re-tests just the edges incident to the two endpoints
-/// against δ — O(deg) work per productive step on bounded-degree
-/// topologies.  The graph-restricted scheduler holds one per run; the
-/// periodic-rewiring dynamics rebuild one per epoch (take_states()
-/// carries the population across).
+/// A compacting roster of entries that grow and shrink: live entries
+/// occupy indices [0, size()), each owning two directed slots (2e for
+/// entry e's forward orientation, 2e+1 for the reverse) with independent
+/// productivity flags.  Every live slot has scheduling weight 1, so the
+/// only tree kept is the productive one, over the flags, and the
+/// scheduling total is 2 size() by arithmetic; a slot whose flag stays
+/// put costs no tree update.  remove() swap-fills the hole from the back —
+/// the caller learns which entry moved and repoints its own bookkeeping —
+/// and add() doubles the capacity by O(capacity) rebuild when the roster
+/// outgrows it, so memory tracks the live entry count, never a pair
+/// universe.  This is the sparse edge-Markovian model's present-edge store
+/// and, sized to a graph's edge count and never grown, DirectedEdgeSampler's
+/// edge store.
+class DirectedPairRoster {
+ public:
+  static constexpr u64 kNoEntry = ~static_cast<u64>(0);
+
+  explicit DirectedPairRoster(u64 initial_capacity = 16);
+
+  u64 size() const { return size_; }
+  u64 capacity() const { return capacity_; }
+
+  /// Appends a live entry with the given orientation flags; returns its
+  /// index (== previous size()).
+  u64 add(bool fwd_productive, bool rev_productive);
+
+  /// Removes entry e.  Returns the index of the entry that was moved into
+  /// the hole (the previous back), or kNoEntry when e was the back.
+  u64 remove(u64 e);
+
+  void set_flag(u64 e, u64 orientation, bool productive) {
+    PP_DCHECK(e < size_ && orientation < 2);
+    set_slot(2 * e + orientation, productive ? 1 : 0);
+  }
+
+  u64 weight_total() const { return 2 * size_; }
+  u64 productive_total() const { return productive_.total(); }
+  bool productive(u64 slot) const {
+    PP_DCHECK(slot < 2 * size_);
+    return flag_[slot] != 0;
+  }
+
+  /// Productive fraction of the live directed slots (0 when empty).
+  double productive_probability() const {
+    if (size_ == 0) return 0.0;
+    return static_cast<double>(productive_.total()) /
+           static_cast<double>(2 * size_);
+  }
+
+  /// Samples a productive (entry, orientation); precondition
+  /// productive_total() > 0.
+  std::pair<u64, u64> sample_productive(Rng& rng) const {
+    PP_DCHECK(productive_.total() > 0);
+    const u64 d = productive_.find(rng.below(productive_.total()));
+    return {d >> 1, d & 1};
+  }
+
+ private:
+  void grow(u64 new_capacity);
+
+  /// Sets directed slot d's flag; a tree update only when it changes.
+  void set_slot(u64 d, u8 flag) {
+    if (flag_[d] == flag) return;
+    flag_[d] = flag;
+    productive_.set(d, flag);
+  }
+
+  Fenwick productive_;   // 2 * capacity_ slots: 1 on productive live slots
+  std::vector<u8> flag_;  // the same, one byte per slot
+  u64 size_ = 0;
+  u64 capacity_ = 0;
+};
+
+/// The graph-shaped glue over a DirectedPairRoster: binds the 2|E| directed
+/// edges of an InteractionGraph (roster entry e = edge e, slot 2e +
+/// orientation) to a protocol and a per-vertex state vector.  Every
+/// directed edge has scheduling weight 1, so the roster's productive-flag
+/// tree is the whole store.  A productive application at (u, v) only
+/// changes the states of u and v, so fire() re-tests just the edges
+/// incident to the two endpoints against δ — O(deg) work per productive
+/// step on bounded-degree topologies.  The graph-restricted scheduler holds
+/// one per run; the periodic-rewiring dynamics rebuild one per epoch
+/// (take_states() carries the population across).
 class DirectedEdgeSampler {
  public:
-  /// `states` is the per-vertex agent placement; every directed edge gets
-  /// weight 1 and its productivity is computed up front.
+  /// `states` is the per-vertex agent placement; every directed edge's
+  /// productivity is computed up front.
   DirectedEdgeSampler(const InteractionGraph& g, const Protocol& p,
                       std::vector<StateId> states);
 
-  const PairSampler& pairs() const { return pairs_; }
+  /// Number of directed edges (2|E|), each of scheduling weight 1.
+  u64 weight_total() const { return edges_.weight_total(); }
+  u64 productive_total() const { return edges_.productive_total(); }
+  bool productive(u64 directed) const { return edges_.productive(directed); }
 
   /// Per-step probability that a uniform directed-edge draw is productive
   /// (run_exact's sampler interface; 0 at edge-silence).
   double productive_probability() const {
-    return pairs_.productive_probability();
+    return edges_.productive_probability();
   }
 
   /// Endpoints of a directed edge id as (initiator, responder).
@@ -188,8 +241,11 @@ class DirectedEdgeSampler {
   void fire(Protocol& p, u64 directed);
 
   /// Samples a productive directed edge and fires it (run_exact's sampler
-  /// interface).  Precondition: pairs().productive_total() > 0.
-  void fire(Protocol& p, Rng& rng) { fire(p, pairs_.sample_productive(rng)); }
+  /// interface).  Precondition: productive_total() > 0.
+  void fire(Protocol& p, Rng& rng) {
+    const auto [e, orientation] = edges_.sample_productive(rng);
+    fire(p, 2 * e + orientation);
+  }
 
   /// Edge productivity through the shared pair_is_productive predicate
   /// (see its comment above for the agent-level vs configuration-level
@@ -199,21 +255,19 @@ class DirectedEdgeSampler {
     return pair_is_productive(*p_, state_[u], state_[v]);
   }
 
-  const std::vector<StateId>& states() const { return state_; }
-
   /// Hands the state vector to the caller (for rebuilding on a rewired
   /// graph); the sampler must not be used afterwards.
   std::vector<StateId> take_states() { return std::move(state_); }
 
  private:
   void refresh(u64 directed) {
-    pairs_.set_productive(directed, is_productive(directed));
+    edges_.set_flag(directed >> 1, directed & 1, is_productive(directed));
   }
 
   const InteractionGraph* g_;
   const Protocol* p_;
   std::vector<StateId> state_;
-  PairSampler pairs_;
+  DirectedPairRoster edges_;  // entry e = edge e of *g_
 };
 
 /// A translation-invariant pair-weight kernel w(i, j) = K(d(i, j)) over n
@@ -491,74 +545,6 @@ class TrapKernelSampler {
   u64 ser_ = 0;                  // Σ_A E_A R[A]
   u64 x_extra_ = 0;              // total extra-state agents
   Fenwick rank_diag_;            // per rank state: c(c-1)
-};
-
-/// A compacting roster of entries that grow and shrink: live entries
-/// occupy indices [0, size()), each owning two directed slots (2e for
-/// entry e's forward orientation, 2e+1 for the reverse) with independent
-/// productivity flags.  Every live slot has scheduling weight 1, so the
-/// only tree kept is the productive one, over the flags, and the
-/// scheduling total is 2 size() by arithmetic; a slot whose flag stays
-/// put costs no tree update.  remove() swap-fills
-/// the hole from the back — the caller learns which entry moved and
-/// repoints its own bookkeeping — and add() doubles the capacity by
-/// O(capacity) rebuild when the roster outgrows it, so memory tracks the
-/// live entry count, never a pair universe.  This is the sparse
-/// edge-Markovian model's present-edge store.
-class DirectedPairRoster {
- public:
-  static constexpr u64 kNoEntry = ~static_cast<u64>(0);
-
-  explicit DirectedPairRoster(u64 initial_capacity = 16);
-
-  u64 size() const { return size_; }
-  u64 capacity() const { return capacity_; }
-
-  /// Appends a live entry with the given orientation flags; returns its
-  /// index (== previous size()).
-  u64 add(bool fwd_productive, bool rev_productive);
-
-  /// Removes entry e.  Returns the index of the entry that was moved into
-  /// the hole (the previous back), or kNoEntry when e was the back.
-  u64 remove(u64 e);
-
-  void set_flag(u64 e, u64 orientation, bool productive) {
-    PP_DCHECK(e < size_ && orientation < 2);
-    set_slot(2 * e + orientation, productive ? 1 : 0);
-  }
-
-  u64 weight_total() const { return 2 * size_; }
-  u64 productive_total() const { return productive_.total(); }
-
-  /// Productive fraction of the live directed slots (0 when empty).
-  double productive_probability() const {
-    if (size_ == 0) return 0.0;
-    return static_cast<double>(productive_.total()) /
-           static_cast<double>(2 * size_);
-  }
-
-  /// Samples a productive (entry, orientation); precondition
-  /// productive_total() > 0.
-  std::pair<u64, u64> sample_productive(Rng& rng) const {
-    PP_DCHECK(productive_.total() > 0);
-    const u64 d = productive_.find(rng.below(productive_.total()));
-    return {d >> 1, d & 1};
-  }
-
- private:
-  void grow(u64 new_capacity);
-
-  /// Sets directed slot d's flag; a tree update only when it changes.
-  void set_slot(u64 d, u8 flag) {
-    if (flag_[d] == flag) return;
-    flag_[d] = flag;
-    productive_.set(d, flag);
-  }
-
-  Fenwick productive_;   // 2 * capacity_ slots: 1 on productive live slots
-  std::vector<u8> flag_;  // the same, one byte per slot
-  u64 size_ = 0;
-  u64 capacity_ = 0;
 };
 
 }  // namespace pp

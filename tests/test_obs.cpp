@@ -576,31 +576,50 @@ std::vector<SchedulerSpec> roster_and_bench_specs() {
   return specs;
 }
 
-TrialSpec kv_spec(const SchedulerSpec& sched, EngineKind engine) {
+TrialSpec kv_spec(const SchedulerSpec& sched, EngineKind engine,
+                  std::string label = "test-obs-roundtrip") {
   TrialSpec spec;
   spec.protocol = "ag";
   spec.n = 48;
-  spec.label = "test-obs-roundtrip";
+  spec.label = std::move(label);
   spec.engine = engine;
   spec.scheduler = sched;
   return spec;
 }
 
 TEST(ObsProvenance, SpecKvRoundTripsForEveryRegisteredScheduler) {
-  for (const EngineKind engine : {EngineKind::kAccelerated,
-                                  EngineKind::kUniform,
-                                  EngineKind::kScheduled}) {
-    for (const SchedulerSpec& sched : roster_and_bench_specs()) {
-      const TrialSpec spec = kv_spec(sched, engine);
-      const std::string kv = obs::spec_to_kv(spec);
-      EXPECT_TRUE(obs::spec_is_replayable(spec)) << kv;
-      const std::optional<TrialSpec> back = obs::spec_from_kv(kv);
-      ASSERT_TRUE(back.has_value()) << kv;
-      EXPECT_EQ(back->engine, engine) << kv;
-      EXPECT_EQ(back->scheduler, sched) << kv;
-      EXPECT_EQ(obs::spec_to_kv(*back), kv);
-      EXPECT_EQ(obs::spec_hash(*back), obs::spec_hash(spec));
+  // The second label holds every byte the kv grammar escapes.
+  for (const std::string label : {"test-obs-roundtrip", "a;b=c%d"}) {
+    for (const EngineKind engine : {EngineKind::kAccelerated,
+                                    EngineKind::kUniform,
+                                    EngineKind::kScheduled}) {
+      for (const SchedulerSpec& sched : roster_and_bench_specs()) {
+        const TrialSpec spec = kv_spec(sched, engine, label);
+        const std::string kv = obs::spec_to_kv(spec);
+        EXPECT_TRUE(obs::spec_is_replayable(spec)) << kv;
+        const std::optional<TrialSpec> back = obs::spec_from_kv(kv);
+        ASSERT_TRUE(back.has_value()) << kv;
+        EXPECT_EQ(back->label, label) << kv;
+        EXPECT_EQ(back->engine, engine) << kv;
+        EXPECT_EQ(back->scheduler, sched) << kv;
+        EXPECT_EQ(obs::spec_to_kv(*back), kv);
+        EXPECT_EQ(obs::spec_hash(*back), obs::spec_hash(spec));
+      }
     }
+  }
+  // Labels without escaped bytes keep their plain text; a '%' that starts
+  // no escape code is rejected.
+  const std::string plain =
+      obs::spec_to_kv(kv_spec(SchedulerSpec{}, EngineKind::kAccelerated));
+  EXPECT_NE(plain.find(";label=test-obs-roundtrip;"), std::string::npos);
+  EXPECT_NE(obs::spec_to_kv(kv_spec(SchedulerSpec{}, EngineKind::kAccelerated,
+                                    "a;b=c%d"))
+                .find(";label=a%3Bb%3Dc%25d;"),
+            std::string::npos);
+  for (const char* bad : {"%", "%2", "%3b", "%41", "x%"}) {
+    std::string kv = plain;
+    kv.replace(kv.find("test-obs-roundtrip"), 18, bad);
+    EXPECT_FALSE(obs::spec_from_kv(kv).has_value()) << kv;
   }
 }
 
@@ -673,7 +692,7 @@ TEST(SchedulerNames, MutatedNamesAndKvStringsAreRejectedOrRoundTrip) {
     names.push_back(s.to_string());
     kvs.push_back(obs::spec_to_kv(kv_spec(s, EngineKind::kScheduled)));
   }
-  const std::string alphabet = "[]/^x=;-.+0123456789abcdeghinsT \x01\xff";
+  const std::string alphabet = "[]/^x=;%-.+0123456789abcdeghinsT \x01\xff";
   Rng rng(2025);
   const auto mutate = [&](const std::vector<std::string>& pool) {
     std::string m = pool[rng.below(pool.size())];
@@ -796,6 +815,34 @@ TEST(ObsProvenance, ManifestReplaysRunBitForBit) {
   EXPECT_TRUE(records_equal(set.records, replay.records));
   EXPECT_TRUE(
       CounterBlock::deterministic_equal(set.counters, replay.counters));
+}
+
+TEST(ObsProvenance, ManifestRecordsLabelsWithGrammarBytes) {
+  // '=' in a label used to abort the sink's manifest write.
+  const std::string path = ::testing::TempDir() + "obs_label_escape.jsonl";
+  TrialSpec spec;
+  spec.protocol = "ag";
+  spec.n = 16;
+  spec.label = "rate=0.5";
+  RunnerOptions opt;
+  opt.trials = 2;
+  const TrialSet set = run_trials(spec, opt);
+  {
+    JsonlSink sink(path);
+    sink.write_trials(spec, set);
+  }
+  std::ifstream manifest(path + ".manifest.json");
+  ASSERT_TRUE(manifest.good());
+  std::string line, point_line;
+  while (std::getline(manifest, line)) {
+    if (obs::manifest_field(line, "kind") == "point") point_line = line;
+  }
+  ASSERT_FALSE(point_line.empty());
+  const obs::ReplayPoint rp = obs::parse_manifest_point(point_line);
+  EXPECT_EQ(rp.spec.label, "rate=0.5");
+  EXPECT_EQ(obs::spec_to_kv(rp.spec), obs::spec_to_kv(spec));
+  EXPECT_EQ(obs::manifest_field(point_line, "spec_hash"),
+            obs::spec_hash(spec));
 }
 
 TEST(ObsProvenance, BuildInfoIsStamped) {

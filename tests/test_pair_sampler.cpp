@@ -1,15 +1,18 @@
-// The Fenwick-backed pair-sampler layer (schedulers/pair_sampler.hpp).
+// The pair-sampler layer (schedulers/pair_sampler.hpp).
 //
 // The load-bearing guarantees:
-//   * weight / productivity bookkeeping: the productive tree always equals
-//     the base tree masked to the flagged pairs, through any interleaving
-//     of set_weight and set_productive (including flags set while the
-//     weight is 0 — the dynamic-graph schedulers lean on that);
-//   * sampling is weight-proportional (chi-squared-style frequency check)
-//     and productive sampling never returns an unproductive pair;
-//   * DirectedEdgeSampler mirrors the protocol: its productive total
-//     counts exactly the directed edges whose endpoints δ would change,
-//     and fire() keeps that in sync with apply_pair.
+//   * PairSampler weight / productivity bookkeeping: the productive tree
+//     always equals the base tree masked to the flagged pairs, through any
+//     interleaving of set_weight and set_productive (including flags set
+//     while the weight is 0 — the dense edge-Markovian reference leans on
+//     that), and productive sampling is weight-proportional and never
+//     returns an unproductive pair;
+//   * DirectedEdgeSampler mirrors the protocol: its roster's productive
+//     total counts exactly the directed edges whose endpoints δ would
+//     change, each flag agrees with δ, the scheduling total stays 2|E|,
+//     and fire() keeps all of that in sync with apply_pair;
+//   * DirectedPairRoster compacts, grows and keeps its flag tree equal to
+//     a brute-force flag array under random add/remove/set_flag.
 #include "schedulers/pair_sampler.hpp"
 
 #include <gtest/gtest.h>
@@ -26,8 +29,8 @@ namespace pp {
 namespace {
 
 TEST(PairSampler, WeightAndProductivityBookkeeping) {
-  PairSampler s(8);
-  EXPECT_EQ(s.universe(), 8u);
+  PairSampler s;
+  s.reset(std::vector<u64>(8, 0), std::vector<u8>(8, 0));
   EXPECT_EQ(s.weight_total(), 0u);
   EXPECT_EQ(s.productive_total(), 0u);
   EXPECT_EQ(s.productive_probability(), 0.0);
@@ -50,7 +53,6 @@ TEST(PairSampler, WeightAndProductivityBookkeeping) {
   // restores the right productive mass without re-testing δ.
   s.set_weight(1, 0);
   EXPECT_EQ(s.productive_total(), 0u);
-  EXPECT_TRUE(s.productive(1));
   s.set_weight(1, 7);
   EXPECT_EQ(s.productive_total(), 7u);
 
@@ -63,29 +65,23 @@ TEST(PairSampler, WeightAndProductivityBookkeeping) {
   s.set_productive(1, false);
   EXPECT_EQ(s.productive_total(), 1u);
   EXPECT_EQ(s.weight_total(), 11u);
+
+  // The bulk build masks the weights to the flags the same way.
+  s.reset({1, 0, 3, 6}, {1, 1, 0, 1});
+  EXPECT_EQ(s.weight_total(), 10u);
+  EXPECT_EQ(s.productive_total(), 7u);
+  s.set_weight(1, 4);  // flagged while its weight was 0
+  EXPECT_EQ(s.productive_total(), 11u);
 }
 
-TEST(PairSampler, SamplingIsWeightProportional) {
-  PairSampler s(4);
-  const u64 weights[4] = {1, 0, 3, 6};
-  for (u64 i = 0; i < 4; ++i) s.set_weight(i, weights[i]);
-  s.set_productive(0, true);
-  s.set_productive(3, true);
+TEST(PairSampler, ProductiveSamplingIsWeightProportional) {
+  PairSampler s;
+  s.reset({1, 0, 3, 6}, {1, 0, 0, 1});
 
   Rng rng(123);
   const int kDraws = 20000;
-  int count[4] = {0, 0, 0, 0};
   int prod_count[4] = {0, 0, 0, 0};
-  for (int i = 0; i < kDraws; ++i) {
-    ++count[s.sample(rng)];
-    ++prod_count[s.sample_productive(rng)];
-  }
-  EXPECT_EQ(count[1], 0);  // zero weight is never proposed
-  for (const u64 i : {0u, 2u, 3u}) {
-    const double expected =
-        kDraws * static_cast<double>(weights[i]) / 10.0;
-    EXPECT_NEAR(count[i], expected, 5 * std::sqrt(expected)) << i;
-  }
+  for (int i = 0; i < kDraws; ++i) ++prod_count[s.sample_productive(rng)];
   // Productive draws only hit the flagged ids, at ratio 1 : 6.
   EXPECT_EQ(prod_count[1] + prod_count[2], 0);
   EXPECT_NEAR(static_cast<double>(prod_count[0]) / kDraws, 1.0 / 7.0, 0.02);
@@ -104,10 +100,10 @@ TEST(DirectedEdgeSampler, TracksProtocolProductivityOnCompleteGraph) {
   const InteractionGraph g = InteractionGraph::complete(n);
   DirectedEdgeSampler es(g, p, p.configuration().to_agent_states());
 
-  while (es.pairs().productive_total() != 0) {
-    EXPECT_EQ(es.pairs().productive_total(), p.productive_weight());
-    EXPECT_EQ(es.pairs().weight_total(), n * (n - 1));
-    es.fire(p, es.pairs().sample_productive(rng));
+  while (es.productive_total() != 0) {
+    EXPECT_EQ(es.productive_total(), p.productive_weight());
+    EXPECT_EQ(es.weight_total(), n * (n - 1));
+    es.fire(p, rng);
   }
   EXPECT_TRUE(p.is_silent());
   EXPECT_TRUE(p.is_valid_ranking());
@@ -118,22 +114,26 @@ TEST(DirectedEdgeSampler, SparseGraphIntersectsProductiveWeight) {
   // productive weight *intersected* with the edge set: recount it from
   // scratch against δ after every step.
   const u64 n = 10;
-  AgProtocol p(n);
-  Rng rng(11);
-  p.reset(initial::uniform_random(p, rng));
-  const InteractionGraph g = InteractionGraph::cycle(n);
-  DirectedEdgeSampler es(g, p, p.configuration().to_agent_states());
+  for (const InteractionGraph& g :
+       {InteractionGraph::cycle(n), InteractionGraph::path(n),
+        InteractionGraph::random_regular(n, 4, /*seed=*/5)}) {
+    AgProtocol p(n);
+    Rng rng(11);
+    p.reset(initial::uniform_random(p, rng));
+    DirectedEdgeSampler es(g, p, p.configuration().to_agent_states());
 
-  for (int step = 0; step < 100 && es.pairs().productive_total() != 0;
-       ++step) {
-    u64 recount = 0;
-    for (u64 d = 0; d < 2 * g.num_edges(); ++d) {
-      recount += es.is_productive(d) ? 1 : 0;
-      EXPECT_EQ(es.pairs().productive(d), es.is_productive(d)) << d;
+    for (int step = 0; step < 100 && es.productive_total() != 0; ++step) {
+      EXPECT_EQ(es.weight_total(), 2 * g.num_edges()) << g.description();
+      u64 recount = 0;
+      for (u64 d = 0; d < 2 * g.num_edges(); ++d) {
+        recount += es.is_productive(d) ? 1 : 0;
+        EXPECT_EQ(es.productive(d), es.is_productive(d))
+            << g.description() << " " << d;
+      }
+      EXPECT_EQ(es.productive_total(), recount) << g.description();
+      EXPECT_LE(recount, p.productive_weight()) << g.description();
+      es.fire(p, rng);
     }
-    EXPECT_EQ(es.pairs().productive_total(), recount);
-    EXPECT_LE(recount, p.productive_weight());
-    es.fire(p, es.pairs().sample_productive(rng));
   }
 }
 

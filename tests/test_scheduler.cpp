@@ -284,14 +284,14 @@ TEST(SchedulerGraph, CompleteGraphStabilisesTreeRanking) {
   }
 }
 
-// Pinned post-refactor trajectories for the graph-restricted scheduler on
-// the Fenwick-backed sampler layer (PR 4).  The naive path consumes the
-// generator exactly as the pre-refactor swap-remove implementation did
-// (unit weights make Fenwick::find the identity on the drawn target); the
-// accelerated path draws the same below(W) but maps targets in id order
-// rather than insertion order, so its literals were re-recorded at
-// refactor time.  Any change to the sampler layer's draw sequence fails
-// here — that is the point.
+// Pinned trajectories for the graph-restricted scheduler.  The naive path
+// draws below(2|E|) and takes the target as the directed edge id, which
+// consumes the generator exactly as the original swap-remove
+// implementation did; the accelerated path draws the same below(W) over
+// the productive-flag tree, which maps targets in edge-id order rather
+// than insertion order, so its literals were re-recorded when the edge
+// sampler moved onto a Fenwick tree.  Any change to the edge sampler's
+// draw sequence fails here — that is the point.
 TEST(SchedulerGraph, PinnedTrajectoryRegression) {
   auto complete = std::make_shared<const InteractionGraph>(
       InteractionGraph::complete(16));
